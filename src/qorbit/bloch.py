@@ -46,6 +46,8 @@ _COMPONENTS = {
         ("triple", (0, 1, 2)),
     ],
 }
+# Component name -> array shape: one axis of length 3 per non-identity site.
+_SHAPES = {name: (3,) * sum(p is not None for p in pattern) for name, pattern in _COMPONENTS[3]}
 
 
 @dataclass(frozen=True)
@@ -64,17 +66,14 @@ class BlochTensor:
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise UnsupportedShape(f"Bloch tensors cover 1-3 qubits, got n={self.n}")
-        shapes = {"alpha": (3,), "beta": (3,), "gamma": (3,),
-                  "pair_12": (3, 3), "pair_13": (3, 3), "pair_23": (3, 3),
-                  "triple": (3, 3, 3)}
         required = {name for name, _ in _COMPONENTS[self.n]}
-        for name in shapes:
+        for name, shape in _SHAPES.items():
             value = getattr(self, name)
             if name in required:
                 if value is None:
                     raise ShapeMismatch(f"n={self.n} tensor requires component '{name}'")
                 arr = np.array(value, dtype=float)
-                if arr.shape != shapes[name]:
+                if arr.shape != shape:
                     raise ShapeMismatch(f"component '{name}' has shape {arr.shape}")
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
@@ -90,16 +89,12 @@ class BlochTensor:
     @classmethod
     def from_flat(cls, n: int, vec) -> "BlochTensor":
         vec = np.asarray(vec, dtype=float)
-        sizes = {1: [3], 2: [3, 3, 9], 3: [3, 3, 3, 9, 9, 9, 27]}[n]
+        shapes = {name: _SHAPES[name] for name, _ in _COMPONENTS[n]}
+        sizes = [3 ** len(shape) for shape in shapes.values()]
         if vec.shape != (sum(sizes),):
             raise ShapeMismatch(f"flat vector for n={n} must have length {sum(sizes)}")
-        parts = {}
-        offset = 0
-        for (name, _), size in zip(_COMPONENTS[n], sizes):
-            block = vec[offset:offset + size]
-            offset += size
-            parts[name] = block.reshape({3: (3,), 9: (3, 3), 27: (3, 3, 3)}[size])
-        return cls(n=n, **parts)
+        blocks = np.split(vec, np.cumsum(sizes)[:-1])
+        return cls(n=n, **{name: b.reshape(shapes[name]) for name, b in zip(shapes, blocks)})
 
     def max_abs(self) -> float:
         return max(float(np.max(np.abs(arr))) for _, arr in self.component_items())
@@ -181,14 +176,11 @@ def bloch_from_payload(payload) -> BlochTensor:
     n = payload.get("n")
     if n not in (1, 2, 3):
         raise ParseError("field 'n' must be 1, 2, or 3")
-    shapes = {"alpha": (3,), "beta": (3,), "gamma": (3,),
-              "pair_12": (3, 3), "pair_13": (3, 3), "pair_23": (3, 3),
-              "triple": (3, 3, 3)}
     parts = {}
     for name, _ in _COMPONENTS[n]:
         if name not in payload:
             raise ParseError(f"missing component '{name}' for n={n}")
-        parts[name] = fileio.real_array(payload[name], shapes[name], name)
+        parts[name] = fileio.real_array(payload[name], _SHAPES[name], name)
     return BlochTensor(n=n, **parts)
 
 

@@ -17,13 +17,13 @@ back with ``generic = False``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import fileio
-from .bloch import BlochTensor, bloch_from_payload, bloch_payload
-from .errors import ParseError, UnsupportedShape
+from .bloch import BlochTensor, bloch_payload
+from .errors import UnsupportedShape
 from .invariants import GramTriple, _sign_invariant, gram
 from .local_action import RotationTriple, transform_bloch
 
@@ -108,6 +108,11 @@ def _report_from_gram(g: GramTriple, vectors: list[np.ndarray]) -> GenericityRep
     )
 
 
+def _frame_vectors(t: BlochTensor, g: GramTriple) -> list[np.ndarray]:
+    """Site vectors rotated into their Gram eigenframes."""
+    return [f.T @ v for f, v in zip(g.frames, (t.alpha, t.beta, t.gamma))]
+
+
 def genericity(t: BlochTensor) -> GenericityReport:
     """Report the genericity margins of a tensor without moving it.
 
@@ -118,9 +123,7 @@ def genericity(t: BlochTensor) -> GenericityReport:
     if t.n not in (2, 3):
         raise UnsupportedShape(f"genericity is defined for n=2 or 3, got n={t.n}")
     g = gram(t)
-    site_vectors = [t.alpha, t.beta, t.gamma][:t.n]
-    rotated = [g.frames[site].T @ v for site, v in enumerate(site_vectors)]
-    return _report_from_gram(g, rotated)
+    return _report_from_gram(g, _frame_vectors(t, g))
 
 
 def _signs(vec: np.ndarray, tol: float) -> tuple[float, ...]:
@@ -155,16 +158,10 @@ def canonicalize3(t: BlochTensor) -> CanonicalPoint:
     if t.n != 3:
         raise UnsupportedShape(f"canonicalize3 needs n=3, got n={t.n}")
     g = gram(t)
-    frames = RotationTriple(tuple(g.frames[site].T for site in range(3)))
-    aligned = transform_bloch(t, frames)
-    klein = (
-        _uniform_sign_element(aligned.alpha),
-        _uniform_sign_element(aligned.beta),
-        _uniform_sign_element(aligned.gamma),
-    )
+    klein = [_uniform_sign_element(v) for v in _frame_vectors(t, g)]
     # One composed transform, so replaying the gauge reproduces the
     # canonical tensor bit for bit.
-    gauge = RotationTriple(tuple(k @ f for k, f in zip(klein, frames.mats)))
+    gauge = RotationTriple(tuple(k @ f.T for k, f in zip(klein, g.frames)))
     canonical = transform_bloch(t, gauge)
     report = _report_from_gram(g, [canonical.alpha, canonical.beta, canonical.gamma])
     return CanonicalPoint(tensor=canonical, gauge=gauge, report=report)
@@ -190,22 +187,17 @@ def canonicalize2(t: BlochTensor) -> CanonicalPoint:
     base_rot = RotationTriple((o1.T, o2.T))
     base = transform_bloch(t, base_rot)
 
-    scale = 1.0 + base.max_abs()
-    tol = 1e-12 * scale
-    best_key = None
-    best = None
-    for k1 in KLEIN:
-        for k2 in KLEIN:
-            cand = transform_bloch(base, RotationTriple((k1, k2)))
-            key = (
-                _signs(cand.alpha, tol)
-                + _signs(cand.beta, tol)
-                + _signs(np.diag(cand.pair_12), tol)
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (k1, k2)
-    k1, k2 = best
+    tol = 1e-12 * (1.0 + base.max_abs())
+    sa, sb, sd = (np.array(_signs(v, tol)) for v in (base.alpha, base.beta, np.diag(base.pair_12)))
+
+    def key(pair):
+        # Klein elements flip signs exactly, so each candidate's sign
+        # pattern is a product of base signs and diagonal entries.
+        s1, s2 = np.diag(pair[0]), np.diag(pair[1])
+        return tuple(np.concatenate([s1 * sa, s2 * sb, s1 * s2 * sd]))
+
+    # min keeps the first of equal keys, as the element order requires.
+    k1, k2 = min(itertools.product(KLEIN, KLEIN), key=key)
     gauge = RotationTriple((k1 @ base_rot.mats[0], k2 @ base_rot.mats[1]))
     canonical = transform_bloch(t, gauge)
     g = gram(canonical)
@@ -227,27 +219,3 @@ def canonical_payload(point: CanonicalPoint) -> dict:
     payload["gauge"] = [m.tolist() for m in point.gauge.mats]
     payload["report"] = point.report.payload()
     return payload
-
-
-def canonical_from_payload(payload) -> CanonicalPoint:
-    if not isinstance(payload, dict):
-        raise ParseError("canonical file must contain a single object")
-    tensor = bloch_from_payload(payload)
-    if "gauge" not in payload or "report" not in payload:
-        raise ParseError("canonical file needs 'gauge' and 'report' fields")
-    gauge_mats = payload["gauge"]
-    if not isinstance(gauge_mats, list) or len(gauge_mats) != tensor.n:
-        raise ParseError(f"'gauge' must list {tensor.n} rotation matrices")
-    gauge = RotationTriple(tuple(
-        fileio.real_array(m, (3, 3), f"gauge[{i}]") for i, m in enumerate(gauge_mats)
-    ))
-    rep = payload["report"]
-    report = GenericityReport(
-        n=tensor.n,
-        eigengaps=tuple(rep.get("eigengaps", [None] * 3)),
-        gram_traces=tuple(rep.get("gram_traces", [None] * 3)),
-        min_components=tuple(rep.get("min_components", [None] * 3)),
-        sign_invariants=tuple(rep.get("sign_invariants", [None] * 3)),
-        generic=bool(rep.get("generic", False)),
-    )
-    return CanonicalPoint(tensor=tensor, gauge=gauge, report=report)

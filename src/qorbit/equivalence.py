@@ -1,10 +1,12 @@
 """Decide local-unitary equivalence of two states, with certificates.
 
 The decision pipeline is: global spectra (cheapest witness), then the
-polynomial invariant fingerprint under a degree-aware tolerance, then
-canonical-form comparison when both states are generic. Matching
-invariants on a non-generic orbit yield ``inconclusive`` -- the canonical
-construction carries no uniqueness guarantee there.
+polynomial invariant fingerprint under a degree-aware tolerance, then the
+canonical forms. Both states are canonicalized once, and their points are
+compared only when both genericity reports (which travel with the points)
+certify a generic orbit. Matching invariants on a non-generic orbit yield
+``inconclusive`` -- the canonical construction carries no uniqueness
+guarantee there.
 
 ``oracle_search`` is an independent cross check: a multi-start local
 minimization of the conjugation residual over per-site special unitaries,
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bloch import PAULI, expand
-from .canonical import GenericityReport, canonicalize, genericity
+from .canonical import GenericityReport, canonicalize
 from .errors import ShapeMismatch, UnsupportedShape
 from .invariants import (
     DEGREES2,
@@ -82,9 +84,11 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix, rtol: float = 1e-8) -> Equi
     """Equivalence verdict for two 2- or 3-qubit states.
 
     ``distinct`` always names the first differing invariant (or the
-    spectrum) as a witness; ``equivalent`` reports the largest canonical
-    component deviation. ``rtol`` rescales the degree-aware invariant
-    comparison tolerance.
+    spectrum) as a witness. Past the invariants both tensors are
+    canonicalized, and the verdict is gated on the two canonical points'
+    genericity reports: ``equivalent`` reports the largest canonical
+    component deviation, and a non-generic report gives ``inconclusive``.
+    ``rtol`` rescales the degree-aware invariant comparison tolerance.
     """
     n = _check_pair(rho1, rho2)
 
@@ -122,26 +126,20 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix, rtol: float = 1e-8) -> Equi
             ),
         )
 
-    reports = (genericity(t1), genericity(t2))
-    if reports[0].generic and reports[1].generic:
-        c1, c2 = canonicalize(t1), canonicalize(t2)
-        deviation = float(np.max(np.abs(c1.tensor.flatten() - c2.tensor.flatten())))
-        if deviation <= CANONICAL_TOL:
-            return EquivalenceVerdict(
-                verdict="equivalent",
-                witness=Witness("canonical", None, deviation),
-                genericity=reports,
-            )
-        # Invariants match but canonical points do not: numerically
-        # contradictory data, refuse to guess.
+    c1, c2 = canonicalize(t1), canonicalize(t2)
+    reports = (c1.report, c2.report)
+    if not (reports[0].generic and reports[1].generic):
         return EquivalenceVerdict(
             verdict="inconclusive",
-            witness=Witness("canonical", None, deviation),
+            witness=Witness("non-generic", None, 0.0),
             genericity=reports,
         )
+    deviation = float(np.max(np.abs(c1.tensor.flatten() - c2.tensor.flatten())))
+    # Matching invariants with distant canonical points are numerically
+    # contradictory data: refuse to guess.
     return EquivalenceVerdict(
-        verdict="inconclusive",
-        witness=Witness("non-generic", None, 0.0),
+        verdict="equivalent" if deviation <= CANONICAL_TOL else "inconclusive",
+        witness=Witness("canonical", None, deviation),
         genericity=reports,
     )
 

@@ -49,9 +49,14 @@ def dumps(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+def _reject_constant(token: str):
+    raise ParseError(f"non-finite number {token} is not allowed")
+
+
 def loads(text: str):
+    """Parse JSON text; like the writer, refuse NaN and Infinity."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
 
@@ -100,4 +105,6 @@ def real_array(data, shape: tuple, field: str) -> np.ndarray:
         raise ParseError(f"field '{field}' is not a numeric array") from None
     if arr.shape != shape:
         raise ParseError(f"field '{field}' has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"field '{field}' has a non-finite entry")
     return arr

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fileio
 from .bloch import BlochTensor, reconstruct
 from .errors import NumericalError, ParseError, UnsupportedShape
 
@@ -86,24 +87,28 @@ def _eig_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def _gram_mats(top: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-site Gram matrices: two of a 3x3 pair matrix, three of a 3x3x3 triple."""
+    if top.ndim == 2:
+        return top @ top.T, top.T @ top
+    return (
+        np.einsum("ijk,ljk->il", top, top),
+        np.einsum("ijk,ilk->jl", top, top),
+        np.einsum("ijk,ijl->kl", top, top),
+    )
+
+
 def gram(t: BlochTensor) -> GramTriple:
-    """Gram matrices of the top-rank tensor, one per site.
+    """Gram matrices of the top-rank tensor with their eigen data, one per site.
 
     For n = 3 these contract the triple tensor; for n = 2 they are
     pair_12 pair_12^T and its transpose partner, which share a spectrum.
+    The invariant families use the matrices alone; the eigenframes and
+    spectra serve the canonical gauge and the genericity margins.
     """
-    if t.n == 3:
-        q = t.triple
-        mats = (
-            np.einsum("ijk,ljk->il", q, q),
-            np.einsum("ijk,ilk->jl", q, q),
-            np.einsum("ijk,ijl->kl", q, q),
-        )
-    elif t.n == 2:
-        r = t.pair_12
-        mats = (r @ r.T, r.T @ r)
-    else:
+    if t.n not in (2, 3):
         raise UnsupportedShape(f"Gram matrices are defined for n=2 or 3, got n={t.n}")
+    mats = _gram_mats(t.triple if t.n == 3 else t.pair_12)
     spectra = []
     frames = []
     for m in mats:
@@ -192,8 +197,7 @@ def invariants3(t: BlochTensor) -> InvariantSet3:
     """Evaluate all 75 three-qubit invariants in the canonical order."""
     if t.n != 3:
         raise UnsupportedShape(f"invariants3 needs n=3, got n={t.n}")
-    g = gram(t)
-    x, y, z = g.mats
+    x, y, z = _gram_mats(t.triple)
     av = _power_vectors(x, t.alpha)
     bv = _power_vectors(y, t.beta)
     cv = _power_vectors(z, t.gamma)
@@ -218,8 +222,7 @@ def invariants2(t: BlochTensor) -> InvariantSet2:
     if t.n != 2:
         raise UnsupportedShape(f"invariants2 needs n=2, got n={t.n}")
     r = t.pair_12
-    x = r @ r.T
-    y = r.T @ r
+    x, y = _gram_mats(r)
     av = _power_vectors(x, t.alpha)
     bv = _power_vectors(y, t.beta)
     tr = _trace_powers(x)
@@ -307,4 +310,4 @@ def invariant_payload_to_values(payload) -> tuple[int, np.ndarray]:
     expected = {3: list(NAMES3), 2: list(NAMES2), 1: ["I", "purity"]}[n]
     if names != expected[:len(names)] or (n == 3 and len(names) != 75):
         raise ParseError("invariant names do not match the canonical list")
-    return n, np.asarray(values, dtype=float)
+    return n, fileio.real_array(values, (len(values),), "values")

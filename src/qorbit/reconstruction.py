@@ -36,7 +36,7 @@ from .errors import (
     SingularSystem,
     ZeroSignInvariant,
 )
-from .invariants import InvariantSet3
+from .invariants import InvariantSet3, _gram_mats
 from .local_action import RotationTriple
 
 NEGATIVE_SQUARE_CLIP = -1e-10
@@ -194,12 +194,7 @@ def triple_from_mixed(mixed, spectra, vectors) -> np.ndarray:
     mixed = np.asarray(mixed, dtype=float).reshape(3, 3, 3)
     factors = [_inverse_factor(sp, vec) for sp, vec in zip(spectra, vectors)]
     q = np.einsum("ir,js,kt,rst->ijk", factors[0], factors[1], factors[2], mixed)
-    grams = (
-        np.einsum("ijk,ljk->il", q, q),
-        np.einsum("ijk,ilk->jl", q, q),
-        np.einsum("ijk,ijl->kl", q, q),
-    )
-    for site, g in enumerate(grams):
+    for site, g in enumerate(_gram_mats(q)):
         off = g - np.diag(np.diag(g))
         worst = float(np.max(np.abs(off)))
         scale = max(float(np.max(np.abs(np.diag(g)))), 1e-300)
@@ -222,13 +217,6 @@ class VandermondeSystem:
 
     spectra: tuple[np.ndarray, np.ndarray, np.ndarray]
     vectors: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def vander(self, site: int) -> np.ndarray:
-        x = np.asarray(self.spectra[site], dtype=float)
-        return np.vstack([np.ones(3), x, x * x])
-
-    def component_diag(self, site: int) -> np.ndarray:
-        return np.diag(self.vectors[site])
 
     def det_vander(self, site: int) -> float:
         return _det_vander(self.spectra[site])

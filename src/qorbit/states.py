@@ -27,6 +27,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
     TraceNotOne,
+    ValidationError,
 )
 
 HERMITICITY_RTOL = 1e-12
@@ -77,6 +78,8 @@ class DensityMatrix:
                 f"matrix is {m.shape}, shape {self.shape} requires ({d}, {d})"
             )
         scale = float(np.max(np.abs(m))) if m.size else 0.0
+        if not math.isfinite(scale):
+            raise ValidationError("matrix has a non-finite entry")
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
         if herm_dev > HERMITICITY_RTOL * scale:
             raise NotHermitian(

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import qorbit as q
-from qorbit.bloch import PAULI, BlochTensor
-from qorbit.errors import NotPositive, ShapeMismatch, UnsupportedShape
+from qorbit.bloch import PAULI, BlochTensor, bloch_from_payload, bloch_payload
+from qorbit.errors import NotPositive, ParseError, ShapeMismatch, UnsupportedShape
 
 from conftest import partial_trace
 
@@ -116,6 +116,17 @@ class TestTensorType:
         again = BlochTensor.from_flat(3, flat)
         assert np.array_equal(again.flatten(), flat)
 
+    @pytest.mark.parametrize("n, length", [(1, 3), (2, 15), (3, 63)])
+    def test_from_flat_every_size(self, n, length):
+        t = q.expand(q.random_state(q.SystemShape((2,) * n), seed=6))
+        flat = t.flatten()
+        assert flat.shape == (length,)
+        again = BlochTensor.from_flat(n, flat)
+        for (name, a), (_, b) in zip(again.component_items(), t.component_items()):
+            assert a.shape == b.shape and np.array_equal(a, b), name
+        with pytest.raises(ShapeMismatch):
+            BlochTensor.from_flat(n, np.zeros(length + 1))
+
 
 class TestBlochFiles:
     @pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 2, 2)])
@@ -125,3 +136,9 @@ class TestBlochFiles:
         q.write_bloch(t, path)
         again = q.read_bloch(path)
         assert np.array_equal(again.flatten(), t.flatten())
+
+    def test_wrong_component_shape_is_parse_error(self):
+        payload = bloch_payload(q.expand(q.random_state(q.SystemShape((2, 2)), seed=32)))
+        payload["pair_12"] = payload["pair_12"][:2]
+        with pytest.raises(ParseError, match="pair_12"):
+            bloch_from_payload(payload)

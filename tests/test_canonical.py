@@ -2,9 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qorbit as q
-from qorbit.canonical import KLEIN, _uniform_sign_element
+from qorbit.bloch import BlochTensor
+from qorbit.canonical import (
+    COMPONENT_TOL,
+    EIGENGAP_RTOL,
+    KLEIN,
+    SIGN_INVARIANT_TOL,
+    _uniform_sign_element,
+)
 
 
 def expand_random(dims, seed):
@@ -21,6 +30,28 @@ def conjugated(dims, state_seed, unitary_seed):
 def assert_uniform_signs(vec):
     signs = {np.sign(v) for v in vec if abs(v) > 1e-12}
     assert len(signs) <= 1
+
+
+def klein_search_gauge(t):
+    """canonicalize2's gauge by transforming with each of the 16 Klein
+    pairs, the search its sign-product scoring replaced (reference)."""
+    u, _, vt = np.linalg.svd(t.pair_12)
+    o1 = u @ np.diag([1.0, 1.0, float(np.sign(np.linalg.det(u))) or 1.0])
+    o2 = vt.T @ np.diag([1.0, 1.0, float(np.sign(np.linalg.det(vt))) or 1.0])
+    base_rot = q.RotationTriple((o1.T, o2.T))
+    base = q.transform_bloch(t, base_rot)
+    tol = 1e-12 * (1.0 + base.max_abs())
+
+    def sign_key(pair):
+        c = q.transform_bloch(base, q.RotationTriple(pair))
+        parts = np.concatenate([c.alpha, c.beta, np.diag(c.pair_12)])
+        return tuple(0.0 if abs(v) <= tol else float(np.sign(v)) for v in parts)
+
+    best = None
+    for pair in itertools.product(KLEIN, KLEIN):
+        if best is None or sign_key(pair) < sign_key(best):
+            best = pair
+    return q.RotationTriple((best[0] @ base_rot.mats[0], best[1] @ base_rot.mats[1]))
 
 
 class TestCanonicalize3:
@@ -119,6 +150,24 @@ class TestCanonicalize2:
         replay = q.transform_bloch(t, point.gauge)
         assert np.max(np.abs(replay.flatten() - point.tensor.flatten())) == 0.0
 
+    @pytest.mark.parametrize("kind", ["rank4", "rank2", "rank1", "no_vectors", "zero_components"])
+    def test_gauge_matches_exhaustive_klein_search(self, kind):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            if kind.startswith("rank"):
+                rho = q.random_state(q.SystemShape((2, 2)), rank=int(kind[-1]), seed=seed)
+                t = q.expand(rho)
+            else:
+                # Zero vector components leave the diagonal signs, and then
+                # the element order, to pick the Klein pair.
+                mask = np.zeros(3) if kind == "no_vectors" else np.array([1.0, 0.0, 1.0])
+                t = BlochTensor(n=2, alpha=mask * rng.standard_normal(3),
+                                beta=mask * rng.standard_normal(3),
+                                pair_12=rng.standard_normal((3, 3)))
+            gauge = q.canonicalize2(t).gauge
+            for got, want in zip(gauge.mats, klein_search_gauge(t).mats):
+                assert np.array_equal(got, want)
+
     def test_maximally_mixed(self):
         point = q.canonicalize2(q.expand(q.maximally_mixed(q.SystemShape((2, 2)))))
         assert point.tensor.max_abs() == 0.0
@@ -147,6 +196,44 @@ class TestGenericity:
         point = q.canonicalize3(t)
         for a, b in zip(report.min_components, point.report.min_components):
             assert a == pytest.approx(b, rel=1e-9)
+
+
+@st.composite
+def qubit_tensors(draw):
+    """2- and 3-qubit states of every rank, a few of them depolarized."""
+    n = draw(st.sampled_from((2, 3)))
+    d = 2**n
+    rank = draw(st.integers(1, d))
+    seed = draw(st.integers(0, 2**32 - 1))
+    p = draw(st.sampled_from((1.0, 1.0, 1.0, 0.3, 0.01)))
+    rho = q.random_state(q.SystemShape((2,) * n), rank=rank, seed=seed)
+    mixed = (1.0 - p) * np.eye(d) / d + p * rho.matrix
+    return q.expand(q.DensityMatrix(rho.shape, mixed))
+
+
+class TestReportEquivalence:
+    """``decide`` gates on ``canonicalize(t).report`` in place of ``genericity(t)``."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(qubit_tensors())
+    def test_canonical_report_matches_genericity(self, t):
+        direct = q.genericity(t)
+        report = q.canonicalize(t).report
+        assert report.generic == direct.generic
+        close = dict(rel=1e-9, abs=1e-300)
+        for site in range(t.n):
+            trace = direct.gram_traces[site]
+            assert report.gram_traces[site] == pytest.approx(trace, **close)
+            if direct.eigengaps[site] <= EIGENGAP_RTOL * trace:
+                # Coincident Gram eigenvalues leave the site's eigenframe,
+                # and so its vector margins, undetermined.
+                continue
+            assert report.eigengaps[site] == pytest.approx(direct.eigengaps[site], **close)
+            for key, tol in (("min_components", COMPONENT_TOL),
+                             ("sign_invariants", SIGN_INVARIANT_TOL)):
+                margin = getattr(direct, key)[site]
+                if margin > tol:
+                    assert getattr(report, key)[site] == pytest.approx(margin, **close)
 
 
 class TestKleinSelection:

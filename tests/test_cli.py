@@ -221,6 +221,30 @@ class TestErrorPaths:
         assert code == 4
         assert "validation error" in err
 
+    def test_non_finite_state_entry_is_parse_error(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dims": [2], "matrix": [[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}')
+        code, out, err = invoke("invariants", str(path))
+        assert code == 3
+        assert out == ""
+        assert "parse error" in err and "NaN" in err
+
+    @pytest.mark.parametrize("token, message", [
+        ("NaN", "NaN"),
+        ("1e999", "non-finite"),  # overflows to infinity when parsed
+        ('"x"', "not a numeric array"),
+    ])
+    def test_bad_invariant_value_is_parse_error(self, tmp_path, token, message):
+        rho = q.random_state(q.SystemShape((2, 2, 2)), seed=15)
+        payload = q.invariants3(q.expand(rho)).payload()
+        payload["values"][20] = 1234.5
+        path = tmp_path / "bad-inv.json"
+        path.write_text(json.dumps(payload).replace("1234.5", token))
+        code, out, err = invoke("reconstruct", str(path), "--json")
+        assert code == 3
+        assert out == ""
+        assert "parse error" in err and message in err
+
     def test_qudit_expand_unsupported(self, tmp_path):
         path = tmp_path / "qudit.json"
         q.write_state(q.random_state(q.SystemShape((2, 3)), seed=13), path)

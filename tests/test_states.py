@@ -11,6 +11,7 @@ from qorbit.errors import (
     ParseError,
     ShapeMismatch,
     TraceNotOne,
+    ValidationError,
 )
 
 QUBIT = q.SystemShape((2,))
@@ -67,6 +68,13 @@ class TestValidate:
     def test_repair_still_rejects_bad_input(self):
         with pytest.raises(TraceNotOne):
             q.validate(np.diag([0.6, 0.6]), QUBIT, repair=True)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_entry_rejected(self, entry):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = entry
+        with pytest.raises(ValidationError, match="non-finite"):
+            q.DensityMatrix(QUBIT, m)
 
 
 class TestGeneratorBasis:
