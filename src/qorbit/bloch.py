@@ -50,6 +50,12 @@ _COMPONENTS = {
 _SHAPES = {name: (3,) * sum(p is not None for p in pattern) for name, pattern in _COMPONENTS[3]}
 
 
+def _components(n: int) -> list:
+    if n not in _COMPONENTS:
+        raise UnsupportedShape(f"Bloch tensors cover 1-3 qubits, got n={n}")
+    return _COMPONENTS[n]
+
+
 @dataclass(frozen=True)
 class BlochTensor:
     """Real coefficient tensors of a 1-, 2-, or 3-qubit state."""
@@ -64,9 +70,7 @@ class BlochTensor:
     triple: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise UnsupportedShape(f"Bloch tensors cover 1-3 qubits, got n={self.n}")
-        required = {name for name, _ in _COMPONENTS[self.n]}
+        required = {name for name, _ in _components(self.n)}
         for name, shape in _SHAPES.items():
             value = getattr(self, name)
             if name in required:
@@ -89,7 +93,7 @@ class BlochTensor:
     @classmethod
     def from_flat(cls, n: int, vec) -> "BlochTensor":
         vec = np.asarray(vec, dtype=float)
-        shapes = {name: _SHAPES[name] for name, _ in _COMPONENTS[n]}
+        shapes = {name: _SHAPES[name] for name, _ in _components(n)}
         sizes = [3 ** len(shape) for shape in shapes.values()]
         if vec.shape != (sum(sizes),):
             raise ShapeMismatch(f"flat vector for n={n} must have length {sum(sizes)}")

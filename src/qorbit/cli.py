@@ -31,7 +31,7 @@ from .invariants import (
     invariants2,
     invariants3,
 )
-from .orbit_dim import RANK_RTOL, invariant_count_formula, orbit_dimension
+from .orbit_dim import RANK_RTOL, _check_frame_size, invariant_count_formula, orbit_dimension
 from .reconstruction import reconstruct_canonical
 from .states import SystemShape, random_state, read_state, write_state
 
@@ -224,6 +224,7 @@ def _cmd_orbit_dim(args, out, err) -> int:
     else:
         if args.dims is None:
             raise _UsageError("--random requires --dims")
+        _check_frame_size(args.dims)  # refuse before drawing a state too large to rank
         rho = random_state(args.dims, rank=args.rank, seed=args.seed)
     tol = args.tol if args.tol is not None else RANK_RTOL
     result = orbit_dimension(rho, tol=tol)

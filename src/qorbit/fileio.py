@@ -53,10 +53,17 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token} is not allowed")
 
 
+def _parse_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ParseError(f"number {token} overflows to a non-finite value")
+    return value
+
+
 def loads(text: str):
-    """Parse JSON text; like the writer, refuse NaN and Infinity."""
+    """Parse JSON text; like the writer, refuse NaN, Infinity and overflowing numbers."""
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant, parse_float=_parse_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
 

@@ -6,6 +6,16 @@ Its numerical rank (singular values above a relative threshold) is the
 orbit dimension; subtracting it from D^2 - 1 counts the parameters that
 are invariant under local transformations. For n >= 2 sites that count
 equals prod(d_r^2) - sum(d_r^2) + n - 1 at generic states.
+
+No D x D embedded generator is formed: a site generator t acts on rho by
+contracting it into the site's index, rows for h.rho and columns for
+rho.h, at O(D^2 d) per generator, and each commutator is written straight
+into the preallocated frame. The singular values come from a tall-skinny
+QR of the transposed frame, one column block at a time, followed by the
+SVD of the small triangular factor; the frame's Gram matrix is never
+formed, since its eigenvalues would square the rank threshold below
+machine precision. Frames larger than ``_MAX_FRAME_BYTES`` are refused with
+``UnsupportedShape`` before any work is done.
 """
 
 from __future__ import annotations
@@ -15,9 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnsupportedShape
 from .states import DensityMatrix, SystemShape, generator_basis
 
 RANK_RTOL = 1e-9
+# Largest tangent frame built, in bytes: sum(d_r^2 - 1) rows of 2 D^2
+# float64 entries. Ten qubits (503 MB) fit; eleven (2.2 GB) do not.
+_MAX_FRAME_BYTES = 2**30
+# Frame columns folded into the running triangular factor per QR call.
+_QR_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -38,22 +54,55 @@ class OrbitDimension:
     singular_values: np.ndarray
 
 
+def _check_frame_size(shape: SystemShape) -> None:
+    """Raise ``UnsupportedShape`` if the shape's frame exceeds the bound."""
+    d_total = shape.total_dim
+    nbytes = sum(d * d - 1 for d in shape.dims) * 2 * d_total * d_total * 8
+    if nbytes > _MAX_FRAME_BYTES:
+        raise UnsupportedShape(
+            f"orbit dimension of {shape} needs a {nbytes / 1e9:.3g} GB tangent frame; "
+            f"the limit is {_MAX_FRAME_BYTES / 1e9:.3g} GB"
+        )
+
+
+def _contract(t: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    """dst[:, p, :] = sum_q t[p, q] src[:, q, :], skipping the zeros of t."""
+    for p, row in enumerate(t):
+        nonzero = np.flatnonzero(row)
+        if nonzero.size == 0:
+            dst[:, p, :] = 0.0
+            continue
+        np.multiply(src[:, nonzero[0], :], row[nonzero[0]], out=dst[:, p, :])
+        for q in nonzero[1:]:
+            dst[:, p, :] += src[:, q, :] * row[q]
+
+
 def tangent_frame(rho: DensityMatrix) -> TangentFrame:
     """One tangent vector per su(d_r) generator per site, site-major."""
+    _check_frame_size(rho.shape)
     dims = rho.shape.dims
     d_total = rho.shape.total_dim
     m = rho.matrix
-    rows = []
+    k = sum(d * d - 1 for d in dims)
+    out = np.empty((k, 2, d_total, d_total))
+    hm = np.empty((d_total, d_total), dtype=complex)
+    mh = np.empty((d_total, d_total), dtype=complex)
+    row = 0
     for site, d in enumerate(dims):
         before = math.prod(dims[:site])
         after = math.prod(dims[site + 1:])
-        eye_b = np.eye(before, dtype=complex)
-        eye_a = np.eye(after, dtype=complex)
+        # h = 1_before x t x 1_after acts on the site's row index of rho in
+        # h.rho and, through t^T, on its column index in rho.h.
+        rows = (before, d, after * d_total)
+        cols = (d_total * before, d, after)
         for t in generator_basis(d).generators:
-            h = np.kron(np.kron(eye_b, t), eye_a)
-            delta = 1j * (h @ m - m @ h)
-            rows.append(np.concatenate([delta.real.ravel(), delta.imag.ravel()]))
-    vectors = np.array(rows).reshape(len(rows), 2 * d_total * d_total)
+            _contract(t, m.reshape(rows), hm.reshape(rows))
+            _contract(t.T, m.reshape(cols), mh.reshape(cols))
+            # i(h.rho - rho.h): real part Im(rho.h - h.rho), imaginary part Re(h.rho - rho.h)
+            np.subtract(mh.imag, hm.imag, out=out[row, 0])
+            np.subtract(hm.real, mh.real, out=out[row, 1])
+            row += 1
+    vectors = out.reshape(k, 2 * d_total * d_total)
     vectors.setflags(write=False)
     return TangentFrame(base=rho, vectors=vectors)
 
@@ -65,8 +114,13 @@ def orbit_dimension(rho: DensityMatrix, tol: float = RANK_RTOL) -> OrbitDimensio
     the full spectrum for audit; an all-zero frame (the maximally mixed
     state) has dimension zero.
     """
-    frame = tangent_frame(rho)
-    s = np.linalg.svd(frame.vectors, compute_uv=False)
+    vectors = tangent_frame(rho).vectors
+    k = vectors.shape[0]
+    r = np.empty((0, k))
+    for start in range(0, vectors.shape[1], _QR_BLOCK):
+        block = vectors[:, start:start + _QR_BLOCK].T
+        r = np.linalg.qr(np.vstack([r, block]), mode="r")
+    s = np.linalg.svd(r, compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
     dim = 0 if smax == 0.0 else int(np.sum(s > tol * smax))
     return OrbitDimension(dimension=dim, singular_values=s)

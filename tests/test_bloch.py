@@ -127,6 +127,11 @@ class TestTensorType:
         with pytest.raises(ShapeMismatch):
             BlochTensor.from_flat(n, np.zeros(length + 1))
 
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_from_flat_unsupported_n(self, n):
+        with pytest.raises(q.UnsupportedShape):
+            BlochTensor.from_flat(n, np.zeros(3))
+
 
 class TestBlochFiles:
     @pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 2, 2)])

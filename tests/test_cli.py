@@ -229,6 +229,14 @@ class TestErrorPaths:
         assert out == ""
         assert "parse error" in err and "NaN" in err
 
+    def test_overflowing_state_entry_is_parse_error(self, tmp_path):
+        path = tmp_path / "overflow.json"
+        path.write_text('{"dims": [2], "matrix": [[[1e999, 0], [0, 0]], [[0, 0], [0.5, 0]]]}')
+        code, out, err = invoke("invariants", str(path))
+        assert code == 3
+        assert out == ""
+        assert "parse error" in err and "1e999" in err
+
     @pytest.mark.parametrize("token, message", [
         ("NaN", "NaN"),
         ("1e999", "non-finite"),  # overflows to infinity when parsed
@@ -254,6 +262,12 @@ class TestErrorPaths:
     def test_bad_dims_argument(self):
         code, _, err = invoke("count", "--dims", "2,banana")
         assert code == 3
+
+    def test_orbit_dim_oversized_shape_refused_before_drawing(self):
+        code, out, err = invoke("orbit-dim", "--random", "--dims", ",".join(["2"] * 12))
+        assert code == 4
+        assert out == ""
+        assert "validation error" in err and "tangent frame" in err
 
     def test_orbit_dim_random_requires_dims(self):
         code, _, err = invoke("orbit-dim", "--random")

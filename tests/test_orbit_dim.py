@@ -1,9 +1,35 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qorbit as q
+from qorbit import orbit_dim
+from qorbit.states import generator_basis
 
 from conftest import product_state
+
+
+def kron_frame(rho):
+    """Reference frame from dense embedded generators 1 x T x 1 at D x D."""
+    dims = rho.shape.dims
+    m = rho.matrix
+    rows = []
+    for site, d in enumerate(dims):
+        eye_b = np.eye(math.prod(dims[:site]), dtype=complex)
+        eye_a = np.eye(math.prod(dims[site + 1:]), dtype=complex)
+        for t in generator_basis(d).generators:
+            h = np.kron(np.kron(eye_b, t), eye_a)
+            delta = 1j * (h @ m - m @ h)
+            rows.append(np.concatenate([delta.real.ravel(), delta.imag.ravel()]))
+    return np.array(rows)
+
+
+def reference_dimension(rho):
+    s = np.linalg.svd(kron_frame(rho), compute_uv=False)
+    return int(np.sum(s > orbit_dim.RANK_RTOL * s[0])) if s[0] > 0 else 0
 
 
 class TestTangentFrame:
@@ -96,3 +122,75 @@ class TestCounts:
         count = q.invariant_count_numeric(rho)
         assert count > 9
         assert count == 11  # two independent single-qubit orbits of dimension 2
+
+
+class TestContractedFrame:
+    """The frame is built by contraction and ranked by blocked QR."""
+
+    SHAPES = [(2, 3), (3, 2, 2), (2, 3, 4), (2, 2, 2, 2)]
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    @pytest.mark.parametrize("rank", [None, 1, 2])
+    def test_frame_equals_kron_reference_bit_for_bit(self, dims, rank):
+        rho = q.random_state(q.SystemShape(dims), rank=rank, seed=21)
+        assert np.array_equal(q.tangent_frame(rho).vectors, kron_frame(rho))
+
+    def test_contraction_sums_every_nonzero(self):
+        # Gell-Mann generators have one nonzero per row; a dense t takes the summing path.
+        rng = np.random.default_rng(25)
+        t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        t[1, 2] = 0.0
+        t[2] = 0.0
+        src = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+        dst = np.full_like(src, np.nan)
+        orbit_dim._contract(t, src, dst)
+        assert np.allclose(dst, np.einsum("pq,iqj->ipj", t, src), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_singular_values_match_full_svd(self, dims):
+        rho = q.random_state(q.SystemShape(dims), seed=22)
+        expected = np.linalg.svd(q.tangent_frame(rho).vectors, compute_uv=False)
+        got = q.orbit_dimension(rho).singular_values
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13 * expected[0]
+
+    def test_frame_spans_several_qr_blocks(self):
+        rho = q.random_state(q.SystemShape((2,) * 7), seed=23)
+        assert q.tangent_frame(rho).vectors.shape[1] > 2 * orbit_dim._QR_BLOCK
+        expected = np.linalg.svd(kron_frame(rho), compute_uv=False)
+        result = q.orbit_dimension(rho)
+        assert np.max(np.abs(result.singular_values - expected)) <= 1e-13 * expected[0]
+        assert result.dimension == reference_dimension(rho) == 21
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 3, 2, 2)])
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_low_rank_four_sites_match_reference(self, dims, rank):
+        rho = q.random_state(q.SystemShape(dims), rank=rank, seed=24)
+        assert q.orbit_dimension(rho).dimension == reference_dimension(rho)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(dims=st.lists(st.sampled_from((2, 3, 4)), min_size=1, max_size=3)
+           .filter(lambda ds: math.prod(ds) <= 36),
+           seed=st.integers(0, 2**31 - 2))
+    def test_generic_dimension_is_local_unitary_invariant(self, dims, seed):
+        shape = q.SystemShape(tuple(dims))
+        rho = q.random_state(shape, seed=seed)
+        moved = q.apply(q.haar_local(shape, seed=seed + 1), rho)
+        d = shape.total_dim
+        expected = d * d - 1 - q.invariant_count_formula(shape)
+        assert q.orbit_dimension(rho).dimension == expected
+        assert q.orbit_dimension(moved).dimension == expected
+
+
+class TestFrameSizeBound:
+    def test_oversized_shape_is_refused(self):
+        rho = q.maximally_mixed(q.SystemShape((100,)))  # a 1.6 GB frame from a 100 x 100 state
+        with pytest.raises(q.UnsupportedShape):
+            q.tangent_frame(rho)
+        with pytest.raises(q.UnsupportedShape):
+            q.orbit_dimension(rho)
+
+    def test_bound_admits_ten_qubits_not_eleven(self):
+        orbit_dim._check_frame_size(q.SystemShape((2,) * 10))
+        with pytest.raises(q.UnsupportedShape, match="tangent frame"):
+            orbit_dim._check_frame_size(q.SystemShape((2,) * 11))
