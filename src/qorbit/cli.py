@@ -9,6 +9,7 @@ report moves to stderr, so payloads can be piped or redirected cleanly.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import fileio
@@ -47,9 +48,16 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """Carries help text out of argparse so ``run`` can print it to ``out``."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _dims_arg(text: str) -> SystemShape:
@@ -62,7 +70,9 @@ def _dims_arg(text: str) -> SystemShape:
         ) from None
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``qorbit`` parser, built on first use and shared by every ``run`` call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="write the machine payload to stdout, report to stderr")
@@ -287,8 +297,9 @@ def run(argv, out=None, err=None) -> int:
         print(f"error: {exc}", file=err)
         print(parser.format_usage().rstrip(), file=err)
         return EXIT_USAGE
-    except SystemExit as exc:  # --help and friends
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    except _Help as exc:
+        out.write(exc.args[0])
+        return EXIT_OK
     if args.command is None:
         print(parser.format_usage().rstrip(), file=err)
         return EXIT_USAGE

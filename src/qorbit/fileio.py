@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -38,6 +39,14 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
+        types = set(map(type, obj))
+        if types == {float}:
+            if not all(map(math.isfinite, obj)):
+                for v in obj:
+                    _fmt_number(v)  # raises on the first non-finite value
+            return "[" + ", ".join([format(v, ".17g") for v in obj]) + "]"
+        if types == {str}:
+            return json.dumps(obj)
         return "[" + ", ".join(dumps(v, indent) for v in obj) + "]"
     if isinstance(obj, dict):
         inner = "  " * (indent + 1)
@@ -81,14 +90,27 @@ def read(path):
 
 def complex_to_pairs(matrix: np.ndarray) -> list:
     """Encode a complex matrix as nested [re, im] pairs."""
-    m = np.asarray(matrix)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    m = np.asarray(matrix, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def pairs_to_complex(rows, field: str = "matrix") -> np.ndarray:
     """Decode nested [re, im] pairs back into a complex matrix."""
     if not isinstance(rows, list) or not rows:
         raise ParseError(f"field '{field}' must be a non-empty array of rows")
+    if set(map(type, rows)) == {list} and set(map(type, chain.from_iterable(rows))) == {list}:
+        try:
+            a = np.array(rows)
+        except ValueError:  # ragged
+            a = None
+        # well-formed: a rectangular grid of [re, im] list cells holding bools, ints or
+        # floats; anything else (tuples, strings, nulls, huge ints) takes the walk below
+        if a is not None and a.ndim == 3 and a.shape[2] == 2 and a.dtype.kind in "bif":
+            out = np.empty(a.shape[:2], dtype=complex)
+            out.real = a[..., 0]
+            out.imag = a[..., 1]
+            return out
+    # malformed input: walk the cells to name the first bad one
     out = np.empty((len(rows), len(rows[0])), dtype=complex)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != len(rows[0]):

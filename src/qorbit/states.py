@@ -214,7 +214,15 @@ class GeneratorBasis:
 
     dim: int
     generators: np.ndarray
-    structure_constants: np.ndarray
+
+    @functools.cached_property
+    def structure_constants(self) -> np.ndarray:
+        # (d^2 - 1)^2 d^2 complex entries: formed on first use, not with the basis
+        gen = self.generators
+        comm = np.einsum("iab,jbc->ijac", gen, gen) - np.einsum("jab,ibc->ijac", gen, gen)
+        c = (np.einsum("ijab,kba->ijk", comm, gen) / 2j).real
+        c.setflags(write=False)
+        return c
 
 
 def generator_basis(d: int) -> GeneratorBasis:
@@ -250,8 +258,5 @@ def _generator_basis_cached(d: int) -> GeneratorBasis:
         diag[k, k] = -k * coeff
         mats.append(diag)
     gen = np.array(mats)
-    comm = np.einsum("iab,jbc->ijac", gen, gen) - np.einsum("jab,ibc->ijac", gen, gen)
-    c = (np.einsum("ijab,kba->ijk", comm, gen) / 2j).real
     gen.setflags(write=False)
-    c.setflags(write=False)
-    return GeneratorBasis(dim=d, generators=gen, structure_constants=c)
+    return GeneratorBasis(dim=d, generators=gen)

@@ -6,6 +6,7 @@ import pytest
 
 import qorbit as q
 from qorbit.cli import run
+from qorbit.invariants import NAMES2
 
 
 def invoke(*argv):
@@ -289,3 +290,48 @@ class TestErrorPaths:
     def test_help_exits_zero(self):
         code, _, _ = invoke("--help")
         assert code == 0
+
+
+class TestSharedParser:
+    def test_help_goes_to_out(self, capsys):
+        code, out, err = invoke("--help")
+        assert code == 0
+        assert out.startswith("usage: qorbit") and "orbit-dim" in out
+        assert err == ""
+        code, out, _ = invoke("count", "--help")
+        assert code == 0
+        assert out.startswith("usage: qorbit count") and "--dims" in out
+        assert capsys.readouterr().out == ""
+
+    def test_parser_is_built_once(self):
+        from qorbit import cli
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert invoke("count", "--dims", "2,2")[0] == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_option_does_not_carry_to_next_call(self, tmp_path):
+        path = tmp_path / "two.json"
+        q.write_state(q.random_state(q.SystemShape((2, 2)), seed=12), path)
+        code, out, _ = invoke("invariants", str(path), "--set", "minimal", "--json")
+        assert code == 0
+        assert len(json.loads(out)["values"]) == 10
+        code, out, _ = invoke("invariants", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["names"] == list(NAMES2)
+
+    def test_usage_error_then_valid_call(self):
+        code, out, err = invoke("count", "--dims", "2,banana")
+        assert code == 3
+        assert out == "" and "error:" in err
+        code, out, err = invoke("count", "--dims", "2,2,2")
+        assert code == 0
+        assert out.strip() == "54" and err == ""
+
+    def test_exclusive_group_resets_between_calls(self, state_file):
+        code, out, _ = invoke("orbit-dim", "--state", state_file)
+        assert code == 0
+        assert out.startswith("orbit dimension: 9")
+        code, out, _ = invoke("orbit-dim", "--random", "--dims", "2,2")
+        assert code == 0
+        assert out.startswith("orbit dimension: 6")

@@ -91,6 +91,11 @@ class TestOrbitDimension:
         u = q.haar_local(shape, seed=8)
         assert q.orbit_dimension(q.apply(u, rho)).dimension == q.orbit_dimension(rho).dimension
 
+    def test_single_large_site(self):
+        # d = 40: a 41 MB frame; the su(40) structure constants alone would need 61 GiB
+        rho = q.random_state(q.SystemShape((40,)), seed=11)
+        assert q.orbit_dimension(rho).dimension == 40 * 40 - 40
+
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 2, 2)])
     def test_rank_gap_supports_threshold(self, dims):
         result = q.orbit_dimension(q.random_state(q.SystemShape(dims), seed=9))
