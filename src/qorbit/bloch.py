@@ -94,14 +94,18 @@ class BlochTensor:
     def from_flat(cls, n: int, vec) -> "BlochTensor":
         vec = np.asarray(vec, dtype=float)
         shapes = {name: _SHAPES[name] for name, _ in _components(n)}
-        sizes = [3 ** len(shape) for shape in shapes.values()]
-        if vec.shape != (sum(sizes),):
-            raise ShapeMismatch(f"flat vector for n={n} must have length {sum(sizes)}")
-        blocks = np.split(vec, np.cumsum(sizes)[:-1])
-        return cls(n=n, **{name: b.reshape(shapes[name]) for name, b in zip(shapes, blocks)})
+        size = sum(3 ** len(shape) for shape in shapes.values())
+        if vec.shape != (size,):
+            raise ShapeMismatch(f"flat vector for n={n} must have length {size}")
+        parts, start = {}, 0
+        for name, shape in shapes.items():
+            stop = start + 3 ** len(shape)
+            parts[name] = vec[start:stop].reshape(shape)
+            start = stop
+        return cls(n=n, **parts)
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(arr))) for _, arr in self.component_items())
+        return float(np.abs(self.flatten()).max())
 
 
 def _kron(*mats: np.ndarray) -> np.ndarray:
@@ -127,6 +131,15 @@ def _component_words(n: int) -> dict:
     return words
 
 
+@functools.lru_cache(maxsize=None)
+def _flat_words(n: int) -> np.ndarray:
+    """All Pauli words of ``_component_words(n)`` in one stack, in flatten() order."""
+    d = 2**n
+    flat = np.concatenate([w.reshape(-1, d, d) for w in _component_words(n).values()])
+    flat.setflags(write=False)
+    return flat
+
+
 def expand(rho: DensityMatrix) -> BlochTensor:
     """Expand a 1-, 2-, or 3-qubit state in the tensor-product Pauli basis.
 
@@ -140,16 +153,13 @@ def expand(rho: DensityMatrix) -> BlochTensor:
             f"Pauli expansion covers 1-3 qubits, got shape {shape}"
         )
     n = shape.n
-    parts = {}
-    for name, words in _component_words(n).items():
-        raw = np.einsum("...ab,ba->...", words, rho.matrix) / 2**n
-        residue = float(np.max(np.abs(raw.imag)))
-        if residue > IMAG_RESIDUE_TOL:
-            raise NumericalError(
-                f"expansion coefficient has imaginary residue {residue:.3e}"
-            )
-        parts[name] = raw.real
-    return BlochTensor(n=n, **parts)
+    raw = np.einsum("wab,ba->w", _flat_words(n), rho.matrix) / 2**n
+    residue = float(np.abs(raw.imag).max())
+    if residue > IMAG_RESIDUE_TOL:
+        raise NumericalError(
+            f"expansion coefficient has imaginary residue {residue:.3e}"
+        )
+    return BlochTensor.from_flat(n, raw.real)
 
 
 def reconstruct(t: BlochTensor) -> DensityMatrix:
@@ -178,7 +188,7 @@ def bloch_from_payload(payload) -> BlochTensor:
     if not isinstance(payload, dict):
         raise ParseError("Bloch file must contain a single object")
     n = payload.get("n")
-    if n not in (1, 2, 3):
+    if isinstance(n, bool) or n not in (1, 2, 3):
         raise ParseError("field 'n' must be 1, 2, or 3")
     parts = {}
     for name, _ in _COMPONENTS[n]:

@@ -37,6 +37,7 @@ KLEIN = (
     np.diag([-1.0, 1.0, -1.0]),
     np.diag([-1.0, -1.0, 1.0]),
 )
+_KLEIN_DIAGONALS = tuple(tuple(np.diag(k).tolist()) for k in KLEIN)
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,6 @@ class CanonicalPoint:
     report: GenericityReport
 
 
-def _min_gap(spectrum: np.ndarray) -> float:
-    return float(min(spectrum[0] - spectrum[1], spectrum[1] - spectrum[2]))
-
-
 def _report_from_gram(g: GramTriple, vectors: list[np.ndarray]) -> GenericityReport:
     """Margins from Gram eigen data plus site vectors in eigenframe gauge."""
     n = g.n
@@ -89,9 +86,11 @@ def _report_from_gram(g: GramTriple, vectors: list[np.ndarray]) -> GenericityRep
     signs: list[float | None] = [None, None, None]
     generic = True
     for site in range(n):
-        gaps[site] = _min_gap(g.spectra[site])
-        traces[site] = float(np.sum(g.spectra[site]))
-        mins[site] = float(np.min(np.abs(vectors[site])))
+        s0, s1, s2 = g.spectra[site].tolist()
+        gaps[site] = min(s0 - s1, s1 - s2)
+        # np.sum's order, signed zeros included
+        traces[site] = 0.0 + s0 + s1 + s2
+        mins[site] = min(map(abs, vectors[site].tolist()))
         signs[site] = abs(_sign_invariant(vectors[site], np.diag(g.spectra[site])))
         generic = generic and (
             gaps[site] > EIGENGAP_RTOL * traces[site]
@@ -126,8 +125,8 @@ def genericity(t: BlochTensor) -> GenericityReport:
     return _report_from_gram(g, _frame_vectors(t, g))
 
 
-def _signs(vec: np.ndarray, tol: float) -> tuple[float, ...]:
-    return tuple(0.0 if abs(v) <= tol else float(np.sign(v)) for v in vec)
+def _signs(vec, tol: float) -> tuple[float, ...]:
+    return tuple(0.0 if abs(v) <= tol else (1.0 if v > 0 else -1.0) for v in vec)
 
 
 def _uniform_sign_element(vec: np.ndarray) -> np.ndarray:
@@ -137,11 +136,12 @@ def _uniform_sign_element(vec: np.ndarray) -> np.ndarray:
     act as wildcards and the first matching element in the fixed KLEIN
     order is taken, which keeps the choice deterministic.
     """
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(vec))))
-    for k in KLEIN:
-        s = _signs(k @ vec, tol)
-        nonzero = [v for v in s if v != 0.0]
-        if all(v == nonzero[0] for v in nonzero) if nonzero else True:
+    values = vec.tolist()
+    signs = _signs(values, 1e-12 * (1.0 + max(map(abs, values))))
+    for k, flips in zip(KLEIN, _KLEIN_DIAGONALS):
+        # A Klein element only flips signs, so k @ vec has these sign patterns.
+        nonzero = {f * v for f, v in zip(flips, signs) if v != 0.0}
+        if len(nonzero) <= 1:
             return k
     raise AssertionError("unreachable: some Klein element always aligns signs")
 

@@ -92,15 +92,15 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix, rtol: float = 1e-8) -> Equi
     """
     n = _check_pair(rho1, rho2)
 
-    entry_scale = max(float(np.max(np.abs(rho1.matrix))), float(np.max(np.abs(rho2.matrix))))
-    ident_dev = float(np.max(np.abs(rho1.matrix - rho2.matrix)))
+    entry_scale = max(float(np.abs(rho1.matrix).max()), float(np.abs(rho2.matrix).max()))
+    ident_dev = float(np.abs(rho1.matrix - rho2.matrix).max())
     if ident_dev <= IDENTICAL_TOL * max(entry_scale, 1e-300):
         return EquivalenceVerdict(
             verdict="equivalent",
             witness=Witness("identical", None, ident_dev),
         )
 
-    spec_diff = float(np.max(np.abs(rho1.eigenvalues() - rho2.eigenvalues())))
+    spec_diff = float(np.abs(rho1.eigenvalues() - rho2.eigenvalues()).max())
     if spec_diff > SPECTRUM_TOL:
         return EquivalenceVerdict(
             verdict="distinct",
@@ -134,7 +134,7 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix, rtol: float = 1e-8) -> Equi
             witness=Witness("non-generic", None, 0.0),
             genericity=reports,
         )
-    deviation = float(np.max(np.abs(c1.tensor.flatten() - c2.tensor.flatten())))
+    deviation = float(np.abs(c1.tensor.flatten() - c2.tensor.flatten()).max())
     # Matching invariants with distant canonical points are numerically
     # contradictory data: refuse to guess.
     return EquivalenceVerdict(

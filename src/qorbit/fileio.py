@@ -75,6 +75,8 @@ def loads(text: str):
         return json.loads(text, parse_constant=_reject_constant, parse_float=_parse_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:  # an integer literal beyond int()'s digit limit
+        raise ParseError("integer literal has too many digits to parse") from None
 
 
 def write(path, obj) -> None:
@@ -122,7 +124,10 @@ def pairs_to_complex(rows, field: str = "matrix") -> np.ndarray:
                 or not all(isinstance(v, (int, float)) for v in cell)
             ):
                 raise ParseError(f"field '{field}', row {i}, column {j}: expected [re, im]")
-            out[i, j] = complex(cell[0], cell[1])
+            try:
+                out[i, j] = complex(cell[0], cell[1])
+            except OverflowError:
+                raise ParseError(f"field '{field}', row {i}, column {j}: number out of float range") from None
     return out
 
 
@@ -132,6 +137,8 @@ def real_array(data, shape: tuple, field: str) -> np.ndarray:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError):
         raise ParseError(f"field '{field}' is not a numeric array") from None
+    except OverflowError:
+        raise ParseError(f"field '{field}' has a number out of float range") from None
     if arr.shape != shape:
         raise ParseError(f"field '{field}' has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):

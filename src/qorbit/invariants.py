@@ -78,15 +78,6 @@ class GramTriple:
     frames: tuple[np.ndarray, ...]
 
 
-def _eig_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, vecs = np.linalg.eigh(mat)
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    if np.linalg.det(vecs) < 0:
-        vecs[:, -1] *= -1.0
-    return vals, vecs
-
-
 def _gram_mats(top: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-site Gram matrices: two of a 3x3 pair matrix, three of a 3x3x3 triple."""
     if top.ndim == 2:
@@ -109,33 +100,43 @@ def gram(t: BlochTensor) -> GramTriple:
     if t.n not in (2, 3):
         raise UnsupportedShape(f"Gram matrices are defined for n=2 or 3, got n={t.n}")
     mats = _gram_mats(t.triple if t.n == 3 else t.pair_12)
-    spectra = []
-    frames = []
-    for m in mats:
-        vals, vecs = _eig_desc(m)
-        if vals[-1] < GRAM_PSD_TOL:
-            raise NumericalError(f"Gram matrix has negative eigenvalue {vals[-1]:.3e}")
-        spectra.append(vals)
-        frames.append(vecs)
-    if t.n == 2 and np.max(np.abs(spectra[0] - spectra[1])) > 1e-12:
+    # One stacked eigh and det: LAPACK still factors each matrix on its own.
+    vals, vecs = np.linalg.eigh(np.array(mats))
+    spectra = vals[:, ::-1].copy()
+    frames = vecs[:, :, ::-1].copy()
+    for frame, det in zip(frames, np.linalg.det(frames).tolist()):
+        if det < 0:
+            frame[:, -1] *= -1.0
+    for low in spectra[:, -1].tolist():
+        if low < GRAM_PSD_TOL:
+            raise NumericalError(f"Gram matrix has negative eigenvalue {low:.3e}")
+    if t.n == 2 and np.abs(spectra[0] - spectra[1]).max() > 1e-12:
         raise NumericalError("two-qubit Gram spectra disagree beyond 1e-12")
     return GramTriple(n=t.n, mats=tuple(mats), spectra=tuple(spectra), frames=tuple(frames))
 
 
 def _power_vectors(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Rows (vec, mat vec, mat^2 vec)."""
-    mv = mat @ vec
-    return np.stack([vec, mv, mat @ mv])
+    pv = np.empty((3, 3))
+    pv[0] = vec
+    np.matmul(mat, vec, out=pv[1])
+    np.matmul(mat, pv[1], out=pv[2])
+    return pv
+
+
+def _triple_product(pv: np.ndarray) -> float:
+    """pv[0] . (pv[1] x pv[2]), the cross product rounded exactly as np.cross rounds it."""
+    (b0, b1, b2), (c0, c1, c2) = pv[1:].tolist()
+    return float(np.dot(pv[0], [b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0]))
 
 
 def _sign_invariant(vec: np.ndarray, mat: np.ndarray) -> float:
-    pv = _power_vectors(mat, vec)
-    return float(np.dot(pv[0], np.cross(pv[1], pv[2])))
+    return _triple_product(_power_vectors(mat, vec))
 
 
 def _trace_powers(mat: np.ndarray) -> list[float]:
     m2 = mat @ mat
-    return [float(np.trace(mat)), float(np.trace(m2)), float(np.trace(m2 @ mat))]
+    return [float(mat.trace()), float(m2.trace()), float((m2 @ mat).trace())]
 
 
 @dataclass(frozen=True)
@@ -204,11 +205,7 @@ def invariants3(t: BlochTensor) -> InvariantSet3:
     values = np.concatenate([
         _trace_powers(x), _trace_powers(y), _trace_powers(z),
         av @ t.alpha, bv @ t.beta, cv @ t.gamma,
-        [
-            _sign_invariant(t.alpha, x),
-            _sign_invariant(t.beta, y),
-            _sign_invariant(t.gamma, z),
-        ],
+        [_triple_product(av), _triple_product(bv), _triple_product(cv)],
         (av @ t.pair_12 @ bv.T).ravel(),
         (av @ t.pair_13 @ cv.T).ravel(),
         (bv @ t.pair_23 @ cv.T).ravel(),
@@ -230,9 +227,9 @@ def invariants2(t: BlochTensor) -> InvariantSet2:
         [tr[0], tr[1], float(np.linalg.det(r))],
         av @ t.alpha,
         av @ (r @ t.beta),
-        [_sign_invariant(t.alpha, x)],
+        [_triple_product(av)],
         bv @ t.beta,
-        [_sign_invariant(t.beta, y)],
+        [_triple_product(bv)],
     ])
     return InvariantSet2(values)
 
@@ -288,7 +285,7 @@ def first_disagreement(
     and a flat relative test would over- or under-weigh the extremes.
     """
     diffs = np.abs(np.asarray(values_a) - np.asarray(values_b))
-    for i, (diff, k) in enumerate(zip(diffs, degrees)):
+    for i, (diff, k) in enumerate(zip(diffs.tolist(), degrees)):
         if diff > max(COMPARE_ABS_FLOOR, rtol * scale**k):
             return i
     return None
@@ -299,7 +296,7 @@ def invariant_payload_to_values(payload) -> tuple[int, np.ndarray]:
     if not isinstance(payload, dict):
         raise ParseError("invariant file must contain a single object")
     n = payload.get("n")
-    if n not in (1, 2, 3):
+    if isinstance(n, bool) or n not in (1, 2, 3):
         raise ParseError("field 'n' must be 1, 2, or 3")
     names = payload.get("names")
     values = payload.get("values")

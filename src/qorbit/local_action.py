@@ -66,20 +66,24 @@ class RotationTriple:
     def __post_init__(self):
         if not 1 <= len(self.mats) <= 3:
             raise ShapeMismatch("rotation set covers 1-3 sites")
-        mats = []
-        for r, o in enumerate(self.mats):
-            o = np.array(o, dtype=float)
-            if o.shape != (3, 3):
-                raise ShapeMismatch(f"rotation {r} has shape {o.shape}")
-            dev = float(np.max(np.abs(o.T @ o - np.eye(3))))
-            det_dev = abs(float(np.linalg.det(o)) - 1.0)
-            if dev > UNITARITY_TOL or det_dev > UNITARITY_TOL:
-                raise NotSpecialOrthogonal(
-                    f"rotation {r}: orthogonality residue {dev:.3e}, |det - 1| = {det_dev:.3e}",
-                    margin=max(dev, det_dev),
-                )
+        mats = [np.array(o, dtype=float) for o in self.mats]
+        n_shaped = next((r for r, o in enumerate(mats) if o.shape != (3, 3)), len(mats))
+        # One stacked check of the rotations before the first misshapen one,
+        # so errors come in the same site order as checking one by one.
+        if n_shaped:
+            stack = np.array(mats[:n_shaped])
+            devs = np.abs(stack.transpose(0, 2, 1) @ stack - np.eye(3)).max(axis=(1, 2))
+            det_devs = np.abs(np.linalg.det(stack) - 1.0)
+            for r, (dev, det_dev) in enumerate(zip(devs.tolist(), det_devs.tolist())):
+                if dev > UNITARITY_TOL or det_dev > UNITARITY_TOL:
+                    raise NotSpecialOrthogonal(
+                        f"rotation {r}: orthogonality residue {dev:.3e}, |det - 1| = {det_dev:.3e}",
+                        margin=max(dev, det_dev),
+                    )
+        if n_shaped < len(mats):
+            raise ShapeMismatch(f"rotation {n_shaped} has shape {mats[n_shaped].shape}")
+        for o in mats:
             o.setflags(write=False)
-            mats.append(o)
         object.__setattr__(self, "mats", tuple(mats))
 
     @property

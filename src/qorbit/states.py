@@ -77,16 +77,16 @@ class DensityMatrix:
             raise ShapeMismatch(
                 f"matrix is {m.shape}, shape {self.shape} requires ({d}, {d})"
             )
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
+        scale = float(np.abs(m).max()) if m.size else 0.0
         if not math.isfinite(scale):
             raise ValidationError("matrix has a non-finite entry")
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
+        herm_dev = float(np.abs(m - m.conj().T).max())
         if herm_dev > HERMITICITY_RTOL * scale:
             raise NotHermitian(
                 f"max |m - m^dag| = {herm_dev:.3e} exceeds {HERMITICITY_RTOL:.0e} * max|m|",
                 margin=herm_dev,
             )
-        trace_dev = abs(complex(np.trace(m)) - 1.0)
+        trace_dev = abs(complex(m.trace()) - 1.0)
         if trace_dev > TRACE_TOL:
             raise TraceNotOne(
                 f"|tr - 1| = {trace_dev:.3e} exceeds {TRACE_TOL:.0e}", margin=trace_dev
@@ -188,7 +188,7 @@ def state_from_payload(payload) -> DensityMatrix:
     if "dims" not in payload:
         raise ParseError("missing field 'dims'")
     dims = payload["dims"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
         raise ParseError("field 'dims' must be an array of integers")
     if "matrix" not in payload:
         raise ParseError("missing field 'matrix'")

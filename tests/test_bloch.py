@@ -147,3 +147,9 @@ class TestBlochFiles:
         payload["pair_12"] = payload["pair_12"][:2]
         with pytest.raises(ParseError, match="pair_12"):
             bloch_from_payload(payload)
+
+    def test_boolean_n_is_parse_error(self):
+        payload = bloch_payload(q.expand(q.random_state(q.SystemShape((2,)), seed=33)))
+        payload["n"] = True
+        with pytest.raises(ParseError, match="field 'n' must be 1, 2, or 3"):
+            bloch_from_payload(payload)

@@ -254,6 +254,54 @@ class TestErrorPaths:
         assert out == ""
         assert "parse error" in err and message in err
 
+    @pytest.mark.parametrize("literal, message", [
+        ("1" + "0" * 400, "row 0, column 0: number out of float range"),
+        ("1" * 5000, "too many digits"),
+    ], ids=["beyond-float-range", "beyond-digit-limit"])
+    def test_huge_integer_state_entry_is_parse_error(self, tmp_path, literal, message):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dims": [2], "matrix": [[[%s, 0], [0, 0]], [[0, 0], [0.5, 0]]]}' % literal)
+        for command in ("invariants", "expand", "canonical"):
+            code, out, err = invoke(command, str(path))
+            assert code == 3
+            assert out == ""
+            assert "parse error" in err and message in err
+
+    @pytest.mark.parametrize("literal, message", [
+        ("1" + "0" * 400, "out of float range"),
+        ("1" * 5000, "too many digits"),
+    ], ids=["beyond-float-range", "beyond-digit-limit"])
+    def test_huge_integer_invariant_value_is_parse_error(self, tmp_path, literal, message):
+        rho = q.random_state(q.SystemShape((2, 2, 2)), seed=15)
+        payload = q.invariants3(q.expand(rho)).payload()
+        payload["values"][20] = 1234.5
+        path = tmp_path / "huge-inv.json"
+        path.write_text(json.dumps(payload).replace("1234.5", literal))
+        code, out, err = invoke("reconstruct", str(path), "--json")
+        assert code == 3
+        assert out == ""
+        assert "parse error" in err and message in err
+
+    def test_boolean_dims_is_parse_error(self, tmp_path):
+        path = tmp_path / "bool-dims.json"
+        path.write_text('{"dims": [true], "matrix": [[[1, 0]]]}')
+        code, out, err = invoke("invariants", str(path))
+        assert code == 3
+        assert out == ""
+        assert "parse error" in err and "dims" in err
+
+    def test_boolean_n_in_invariant_file_is_parse_error(self, tmp_path):
+        rho = q.random_state(q.SystemShape((2,)), seed=16)
+        path = tmp_path / "bool-n.json"
+        q.write_state(rho, tmp_path / "state.json")
+        code, out, _ = invoke("invariants", str(tmp_path / "state.json"), "--json")
+        assert code == 0
+        path.write_text(out.replace('"n": 1', '"n": true'))
+        code, out, err = invoke("reconstruct", str(path), "--json")
+        assert code == 3
+        assert out == ""
+        assert "parse error" in err and "field 'n'" in err
+
     def test_qudit_expand_unsupported(self, tmp_path):
         path = tmp_path / "qudit.json"
         q.write_state(q.random_state(q.SystemShape((2, 3)), seed=13), path)

@@ -118,3 +118,24 @@ class TestPairs:
         with pytest.raises(ParseError) as info:
             fileio.pairs_to_complex(rows, field="m")
         assert str(info.value) == message
+
+
+class TestHugeIntegers:
+    BIG = 10**400  # beyond float range, inside int()'s digit limit
+
+    def test_cell_beyond_float_range_refused_with_location(self):
+        with pytest.raises(ParseError) as info:
+            fileio.pairs_to_complex([[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [self.BIG, 0.0]]], field="m")
+        assert str(info.value) == "field 'm', row 1, column 1: number out of float range"
+
+    def test_real_array_beyond_float_range_refused(self):
+        with pytest.raises(ParseError, match="field 'values' has a number out of float range"):
+            fileio.real_array([1.0, self.BIG], (2,), "values")
+
+    def test_literal_beyond_digit_limit_refused(self):
+        with pytest.raises(ParseError, match="too many digits"):
+            fileio.loads("[" + "1" * 5000 + "]")
+
+    def test_large_literals_in_range_still_parse(self):
+        assert fileio.loads("[" + "9" * 300 + "]") == [int("9" * 300)]
+        assert fileio.real_array([10**300], (1,), "values")[0] == 1e300

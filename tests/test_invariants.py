@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qorbit as q
-from qorbit.errors import UnsupportedShape
+from qorbit.errors import ParseError, UnsupportedShape
 from qorbit.invariants import (
     DEGREES2,
     DEGREES3,
@@ -11,6 +11,7 @@ from qorbit.invariants import (
     NAMES3,
     coefficient_scale,
     first_disagreement,
+    invariant_payload_to_values,
 )
 
 from conftest import gap_rank, jacobian_singular_values, product_state
@@ -176,3 +177,12 @@ class TestSeparationSoundness:
         assert bad is not None
         result = q.oracle_search(rho1, rho2, restarts=4, seed=seed)
         assert result.residual > 1e-6
+
+
+def test_boolean_n_in_invariant_payload_is_parse_error():
+    payload = {"n": True, "names": ["I", "purity"], "values": [0.1, 0.7]}
+    with pytest.raises(ParseError, match="field 'n' must be 1, 2, or 3"):
+        invariant_payload_to_values(payload)
+    payload["n"] = 1
+    n, values = invariant_payload_to_values(payload)
+    assert n == 1 and list(values) == [0.1, 0.7]

@@ -219,3 +219,10 @@ class TestStateFiles:
         path.write_text('{"matrix": [[[1, 0]]]}')
         with pytest.raises(ParseError, match="dims"):
             q.read_state(path)
+
+    @pytest.mark.parametrize("dims", ["[true]", "[2, false]"])
+    def test_boolean_dims_are_parse_errors(self, tmp_path, dims):
+        path = tmp_path / "bool-dims.json"
+        path.write_text('{"dims": %s, "matrix": [[[1, 0]]]}' % dims)
+        with pytest.raises(ParseError, match="field 'dims' must be an array of integers"):
+            q.read_state(path)
