@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from . import fileio
@@ -70,13 +71,33 @@ def _dims_arg(text: str) -> SystemShape:
         ) from None
 
 
+def _tol_arg(text: str) -> float:
+    try:
+        tol = float(text)
+        if math.isfinite(tol) and tol >= 0.0:
+            return tol
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"--tol expects a finite number >= 0, got {text!r}")
+
+
+def _restarts_arg(text: str) -> int:
+    try:
+        restarts = int(text)
+        if restarts >= 1:
+            return restarts
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"--restarts expects an integer >= 1, got {text!r}")
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The ``qorbit`` parser, built on first use and shared by every ``run`` call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="write the machine payload to stdout, report to stderr")
-    common.add_argument("--tol", type=float, default=None,
+    common.add_argument("--tol", type=_tol_arg, default=None,
                         help="override the comparison / rank tolerance")
     common.add_argument("--seed", type=int, default=0, help="random seed")
 
@@ -108,7 +129,7 @@ def build_parser() -> _Parser:
     p.add_argument("state2")
     p.add_argument("--oracle", action="store_true",
                    help="also run the optimization oracle")
-    p.add_argument("--restarts", type=int, default=20,
+    p.add_argument("--restarts", type=_restarts_arg, default=20,
                    help="oracle restarts (default 20)")
 
     p = sub.add_parser("orbit-dim", parents=[common],

@@ -22,7 +22,7 @@ from scipy.optimize import minimize
 
 from .bloch import PAULI, expand
 from .canonical import GenericityReport, canonicalize
-from .errors import ShapeMismatch, UnsupportedShape
+from .errors import ShapeMismatch, UnsupportedShape, ValidationError
 from .invariants import (
     DEGREES2,
     DEGREES3,
@@ -181,8 +181,11 @@ def oracle_search(
     Minimizes the Frobenius norm of (U rho1 U^dag - rho2) over per-site
     special unitaries using BFGS with finite-difference gradients; the
     identity is always the first start, the rest are seeded uniform angle
-    draws. A large residual is a result, not an error.
+    draws. A large residual is a result, not an error. ``restarts`` must be
+    at least 1.
     """
+    if restarts < 1:
+        raise ValidationError(f"oracle needs at least one restart, got {restarts}")
     n = _check_pair(rho1, rho2)
     m1 = rho1.matrix
     m2 = rho2.matrix
@@ -198,7 +201,7 @@ def oracle_search(
     best_val = np.inf
     best_params = np.zeros(3 * n)
     used = 0
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         x0 = np.zeros(3 * n) if restart == 0 else rng.uniform(-np.pi, np.pi, 3 * n)
         result = minimize(objective, x0, method="BFGS", options={"gtol": 1e-12, "maxiter": 400})
         used = restart + 1

@@ -16,6 +16,17 @@ SVD of the small triangular factor; the frame's Gram matrix is never
 formed, since its eigenvalues would square the rank threshold below
 machine precision. Frames larger than ``_MAX_FRAME_BYTES`` are refused with
 ``UnsupportedShape`` before any work is done.
+
+The QR runs on D^2 folded columns, not the frame's 2 D^2. A row is the
+Hermitian X = i[h, rho], whose real part S is symmetric and imaginary part
+T antisymmetric; symmetric and antisymmetric matrices are orthogonal under
+the Frobenius inner product, so <S_a + T_a, S_b + T_b> = <S_a, S_b> +
+<T_a, T_b> and the folded rows S + T have the frame's Gram matrix, hence
+its singular values, at half the QR work. Each block is folded into the
+buffer that holds the running factor, so no D^2-wide array is allocated.
+A validated rho is Hermitian only to ``HERMITICITY_RTOL``, so <S, T> is not
+exactly zero: for a state at that tolerance the singular values move by up to
+about 1e-12 of the largest, far below ``RANK_RTOL``.
 """
 
 from __future__ import annotations
@@ -25,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedShape
+from .errors import UnsupportedShape, ValidationError
 from .states import DensityMatrix, SystemShape, generator_basis
 
 RANK_RTOL = 1e-9
@@ -112,15 +123,27 @@ def orbit_dimension(rho: DensityMatrix, tol: float = RANK_RTOL) -> OrbitDimensio
 
     Counts singular values above ``tol`` times the largest one and returns
     the full spectrum for audit; an all-zero frame (the maximally mixed
-    state) has dimension zero.
+    state) has dimension zero. ``tol`` must be finite and in [0, 1).
     """
+    if not (math.isfinite(tol) and 0.0 <= tol < 1.0):
+        raise ValidationError(f"rank tolerance must be finite and in [0, 1), got {tol!r}")
     vectors = tangent_frame(rho).vectors
     k = vectors.shape[0]
-    r = np.empty((0, k))
-    for start in range(0, vectors.shape[1], _QR_BLOCK):
-        block = vectors[:, start:start + _QR_BLOCK].T
-        r = np.linalg.qr(np.vstack([r, block]), mode="r")
-    s = np.linalg.svd(r, compute_uv=False)
+    half = vectors.shape[1] // 2
+    real, imag = vectors[:, :half], vectors[:, half:]
+    # Rows [0, rows) hold the running triangular factor; each folded block
+    # is written below it. Column-major, so each frame row lands in one
+    # contiguous column and LAPACK reads the buffer in its own order.
+    buf = np.empty((k + _QR_BLOCK, k), order="F")
+    rows = 0
+    for start in range(0, half, _QR_BLOCK):
+        stop = min(start + _QR_BLOCK, half)
+        end = rows + stop - start
+        np.add(real[:, start:stop].T, imag[:, start:stop].T, out=buf[rows:end])
+        r = np.linalg.qr(buf[:end], mode="r")
+        rows = r.shape[0]
+        buf[:rows] = r
+    s = np.linalg.svd(buf[:rows], compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
     dim = 0 if smax == 0.0 else int(np.sum(s > tol * smax))
     return OrbitDimension(dimension=dim, singular_values=s)
@@ -139,6 +162,9 @@ def invariant_count_formula(shape: SystemShape) -> int:
 
 
 def invariant_count_numeric(rho: DensityMatrix, tol: float = RANK_RTOL) -> int:
-    """(D^2 - 1) minus the measured orbit dimension of this state."""
+    """(D^2 - 1) minus the measured orbit dimension of this state.
+
+    ``tol`` is checked as in ``orbit_dimension``.
+    """
     d = rho.shape.total_dim
     return d * d - 1 - orbit_dimension(rho, tol=tol).dimension

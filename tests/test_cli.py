@@ -318,6 +318,27 @@ class TestErrorPaths:
         assert out == ""
         assert "validation error" in err and "tangent frame" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "tight"])
+    def test_bad_tol_is_usage_error(self, tol, pair_files):
+        for argv in (("orbit-dim", "--random", "--dims", "2,2"), ("equiv", *pair_files)):
+            code, out, err = invoke(*argv, f"--tol={tol}")
+            assert code == 3
+            assert out == ""
+            assert "--tol expects a finite number >= 0" in err
+
+    def test_rank_tol_at_one_exits_validation(self):
+        code, out, err = invoke("orbit-dim", "--random", "--dims", "2,2", "--tol", "1")
+        assert code == 4
+        assert out == ""
+        assert "rank tolerance" in err
+
+    @pytest.mark.parametrize("restarts", ["0", "-2", "two"])
+    def test_restarts_below_one_is_usage_error(self, restarts, pair_files):
+        code, out, err = invoke("equiv", *pair_files, "--oracle", f"--restarts={restarts}")
+        assert code == 3
+        assert out == ""
+        assert "--restarts expects an integer >= 1" in err
+
     def test_orbit_dim_random_requires_dims(self):
         code, _, err = invoke("orbit-dim", "--random")
         assert code == 3

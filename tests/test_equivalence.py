@@ -96,6 +96,12 @@ class TestOracleSearch:
         result = q.oracle_search(rho, rho, restarts=1, seed=0)
         assert result.residual <= 1e-10
 
+    @pytest.mark.parametrize("restarts", [0, -2])
+    def test_restarts_below_one_refused(self, restarts):
+        rho = q.random_state(q.SystemShape((2, 2)), seed=20)
+        with pytest.raises(q.ValidationError, match="at least one restart"):
+            q.oracle_search(rho, rho, restarts=restarts)
+
     def test_on_orbit_pair_reaches_threshold(self):
         rho1, rho2 = on_orbit_pair((2, 2, 2), 21, 121)
         result = q.oracle_search(rho1, rho2, restarts=20, seed=1, stop_residual=5e-7)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import qorbit as q
 from qorbit import orbit_dim
-from qorbit.states import generator_basis
+from qorbit.states import HERMITICITY_RTOL, generator_basis
 
 from conftest import product_state
 
@@ -30,6 +31,42 @@ def kron_frame(rho):
 def reference_dimension(rho):
     s = np.linalg.svd(kron_frame(rho), compute_uv=False)
     return int(np.sum(s > orbit_dim.RANK_RTOL * s[0])) if s[0] > 0 else 0
+
+
+def unfolded_singular_values(vectors):
+    """Reference ranking: blocked QR on all 2 D^2 frame columns, no fold."""
+    k = vectors.shape[0]
+    block = orbit_dim._QR_BLOCK
+    r = np.empty((0, k))
+    for start in range(0, vectors.shape[1], block):
+        r = np.linalg.qr(np.vstack([r, vectors[:, start:start + block].T]), mode="r")
+    return np.linalg.svd(r, compute_uv=False)
+
+
+def assert_fold_matches_unfolded(rho, rtol=1e-13):
+    expected = unfolded_singular_values(q.tangent_frame(rho).vectors)
+    smax = expected[0]
+    result = q.orbit_dimension(rho)
+    assert result.singular_values.shape == expected.shape
+    assert np.max(np.abs(result.singular_values - expected)) <= rtol * smax
+    assert result.dimension == (int(np.sum(expected > orbit_dim.RANK_RTOL * smax)) if smax > 0 else 0)
+    return result
+
+
+def depolarized(rho, p):
+    d = rho.shape.total_dim
+    return q.DensityMatrix(rho.shape, (1 - p) * np.eye(d) / d + p * rho.matrix)
+
+
+def off_hermitian(rho, fraction, seed):
+    """rho plus an anti-Hermitian term making max|m - m^dag| = fraction * tol * max|m|."""
+    rng = np.random.default_rng(seed)
+    d = rho.shape.total_dim
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = (g - g.conj().T) / 2
+    m = rho.matrix + a * (fraction * HERMITICITY_RTOL * np.abs(rho.matrix).max()
+                          / np.abs(2 * a).max())
+    return q.DensityMatrix(rho.shape, m)
 
 
 class TestTangentFrame:
@@ -185,6 +222,79 @@ class TestContractedFrame:
         expected = d * d - 1 - q.invariant_count_formula(shape)
         assert q.orbit_dimension(rho).dimension == expected
         assert q.orbit_dimension(moved).dimension == expected
+
+
+class TestFoldedRanking:
+    """Ranking on D^2 folded columns matches the 2 D^2-column QR."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(dims=st.lists(st.sampled_from((2, 3, 4)), min_size=1, max_size=4)
+           .filter(lambda ds: math.prod(ds) <= 64),
+           rank=st.sampled_from((1, 2, None)),
+           seed=st.integers(0, 2**31 - 1))
+    def test_matches_unfolded_qr(self, dims, rank, seed):
+        assert_fold_matches_unfolded(q.random_state(q.SystemShape(tuple(dims)), rank=rank, seed=seed))
+
+    def test_qubit_product_state(self):
+        result = assert_fold_matches_unfolded(product_state([0.11, 0.23, 0.31], [0.05, -0.17, 0.29]))
+        assert result.dimension == 4
+
+    def test_qudit_product_state(self):
+        a = q.random_state(q.SystemShape((2,)), seed=40).matrix
+        b = q.random_state(q.SystemShape((3,)), seed=41).matrix
+        rho = q.DensityMatrix(q.SystemShape((2, 3)), np.kron(a, b))
+        assert assert_fold_matches_unfolded(rho).dimension == 2 + 6
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 3), (2, 2, 2)])
+    def test_maximally_mixed(self, dims):
+        assert assert_fold_matches_unfolded(q.maximally_mixed(q.SystemShape(dims))).dimension == 0
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4)])
+    def test_depolarized(self, dims):
+        rho = depolarized(q.random_state(q.SystemShape(dims), seed=42), 1e-3)
+        assert_fold_matches_unfolded(rho)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3), (2, 3, 4)])
+    def test_off_hermitian_within_tolerance(self, dims):
+        # A validated rho is Hermitian only to HERMITICITY_RTOL, so the folded
+        # halves are orthogonal only to about that order.
+        rho = off_hermitian(q.random_state(q.SystemShape(dims), seed=43), 0.5, seed=44)
+        m = rho.matrix
+        assert np.abs(m - m.conj().T).max() > 0.4 * HERMITICITY_RTOL * np.abs(m).max()
+        assert_fold_matches_unfolded(rho, rtol=1e-11)
+
+    def test_folded_columns_span_two_blocks_with_remainder(self):
+        rho = q.random_state(q.SystemShape((3, 3, 3, 3)), seed=45)
+        folded = rho.shape.total_dim ** 2
+        assert orbit_dim._QR_BLOCK < folded < 2 * orbit_dim._QR_BLOCK
+        assert folded % orbit_dim._QR_BLOCK != 0
+        assert assert_fold_matches_unfolded(rho).dimension == 4 * 8  # every generator moves it
+
+    def test_fold_allocates_no_frame_wide_array(self):
+        rho = q.random_state(q.SystemShape((2,) * 8), seed=46)
+        frame_bytes = q.tangent_frame(rho).vectors.nbytes
+        q.orbit_dimension(rho)  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            q.orbit_dimension(rho)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - frame_bytes < frame_bytes / 4
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300, 1.0, 2.0])
+    def test_bad_tolerance_is_refused(self, tol):
+        rho = q.random_state(q.SystemShape((2, 2)), seed=47)
+        with pytest.raises(q.ValidationError, match="rank tolerance"):
+            q.orbit_dimension(rho, tol=tol)
+        with pytest.raises(q.ValidationError, match="rank tolerance"):
+            q.invariant_count_numeric(rho, tol=tol)
+
+    def test_zero_tolerance_counts_every_nonzero_value(self):
+        rho = q.random_state(q.SystemShape((2, 2)), seed=48)
+        assert q.orbit_dimension(rho, tol=0.0).dimension == 6
 
 
 class TestFrameSizeBound:
