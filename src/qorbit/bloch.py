@@ -18,6 +18,7 @@ import numpy as np
 from . import fileio
 from .errors import NumericalError, ParseError, ShapeMismatch, UnsupportedShape
 from .states import DensityMatrix, SystemShape
+from .tolerances import IMAG_RESIDUE_TOL
 
 PAULI = np.array(
     [
@@ -27,9 +28,6 @@ PAULI = np.array(
     ],
     dtype=complex,
 )
-
-IMAG_RESIDUE_TOL = 1e-12
-ROUND_TRIP_TOL = 1e-12
 
 # Component name -> index pattern over sites (None = identity at that site),
 # in the fixed order used by flatten().
@@ -144,8 +142,8 @@ def expand(rho: DensityMatrix) -> BlochTensor:
     """Expand a 1-, 2-, or 3-qubit state in the tensor-product Pauli basis.
 
     Each coefficient is tr(rho W) / 2^n for the corresponding Pauli word W.
-    Imaginary residues beyond 1e-12 (impossible for a validated Hermitian
-    input) raise rather than being silently dropped.
+    Imaginary residues beyond ``IMAG_RESIDUE_TOL`` (impossible for a validated
+    Hermitian input) raise rather than being silently dropped.
     """
     shape = rho.shape
     if not shape.is_qubits or shape.n > 3:

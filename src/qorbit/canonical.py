@@ -26,10 +26,7 @@ from .bloch import BlochTensor, bloch_payload
 from .errors import UnsupportedShape
 from .invariants import GramTriple, _sign_invariant, gram
 from .local_action import RotationTriple, transform_bloch
-
-EIGENGAP_RTOL = 1e-8
-COMPONENT_TOL = 1e-8
-SIGN_INVARIANT_TOL = 1e-24
+from .tolerances import COMPONENT_TOL, EIGENGAP_RTOL, KLEIN_SIGN_RTOL, SIGN_INVARIANT_TOL
 
 KLEIN = (
     np.eye(3),
@@ -137,7 +134,7 @@ def _uniform_sign_element(vec: np.ndarray) -> np.ndarray:
     order is taken, which keeps the choice deterministic.
     """
     values = vec.tolist()
-    signs = _signs(values, 1e-12 * (1.0 + max(map(abs, values))))
+    signs = _signs(values, KLEIN_SIGN_RTOL * (1.0 + max(map(abs, values))))
     for k, flips in zip(KLEIN, _KLEIN_DIAGONALS):
         # A Klein element only flips signs, so k @ vec has these sign patterns.
         nonzero = {f * v for f, v in zip(flips, signs) if v != 0.0}
@@ -187,7 +184,7 @@ def canonicalize2(t: BlochTensor) -> CanonicalPoint:
     base_rot = RotationTriple((o1.T, o2.T))
     base = transform_bloch(t, base_rot)
 
-    tol = 1e-12 * (1.0 + base.max_abs())
+    tol = KLEIN_SIGN_RTOL * (1.0 + base.max_abs())
     sa, sb, sd = (np.array(_signs(v, tol)) for v in (base.alpha, base.beta, np.diag(base.pair_12)))
 
     def key(pair):

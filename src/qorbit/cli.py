@@ -33,9 +33,10 @@ from .invariants import (
     invariants2,
     invariants3,
 )
-from .orbit_dim import RANK_RTOL, _check_frame_size, invariant_count_formula, orbit_dimension
+from .orbit_dim import _check_frame_size, invariant_count_formula, orbit_dimension
 from .reconstruction import reconstruct_canonical
 from .states import SystemShape, random_state, read_state, write_state
+from .tolerances import COMPARE_RTOL, ORACLE_STOP_RESIDUAL, RANK_RTOL
 
 EXIT_OK = 0
 EXIT_DISTINCT = 1
@@ -94,12 +95,15 @@ def _restarts_arg(text: str) -> int:
 @functools.cache
 def build_parser() -> _Parser:
     """The ``qorbit`` parser, built on first use and shared by every ``run`` call."""
+    # Each option goes only to the subcommands that read it.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="write the machine payload to stdout, report to stderr")
-    common.add_argument("--tol", type=_tol_arg, default=None,
-                        help="override the comparison / rank tolerance")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_tol_arg, default=None,
+                     help="override the comparison / rank tolerance")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0, help="random seed")
 
     parser = _Parser(prog="qorbit",
                      description="local-unitary orbit toolkit for multi-particle density matrices")
@@ -123,7 +127,7 @@ def build_parser() -> _Parser:
                        help="rebuild the canonical point from a 3-qubit invariant file")
     p.add_argument("invariants", help="invariant file")
 
-    p = sub.add_parser("equiv", parents=[common],
+    p = sub.add_parser("equiv", parents=[common, tol, seed],
                        help="decide local-unitary equivalence of two states")
     p.add_argument("state1")
     p.add_argument("state2")
@@ -132,7 +136,7 @@ def build_parser() -> _Parser:
     p.add_argument("--restarts", type=_restarts_arg, default=20,
                    help="oracle restarts (default 20)")
 
-    p = sub.add_parser("orbit-dim", parents=[common],
+    p = sub.add_parser("orbit-dim", parents=[common, tol, seed],
                        help="orbit dimension from the tangent frame")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--state", help="state file")
@@ -144,7 +148,7 @@ def build_parser() -> _Parser:
                        help="closed-form count of non-local parameters")
     p.add_argument("--dims", type=_dims_arg, required=True, help="system shape, e.g. 2,2,2")
 
-    p = sub.add_parser("random", parents=[common], help="write a seeded random state")
+    p = sub.add_parser("random", parents=[common, seed], help="write a seeded random state")
     p.add_argument("--dims", type=_dims_arg, required=True)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("-o", "--output", required=True, help="output state file")
@@ -223,7 +227,7 @@ def _cmd_reconstruct(args, out, err) -> int:
 def _cmd_equiv(args, out, err) -> int:
     rho1 = read_state(args.state1)
     rho2 = read_state(args.state2)
-    verdict = decide(rho1, rho2, rtol=args.tol if args.tol is not None else 1e-8)
+    verdict = decide(rho1, rho2, rtol=args.tol if args.tol is not None else COMPARE_RTOL)
     payload = verdict.payload()
     lines = [f"verdict: {verdict.verdict}"]
     w = verdict.witness
@@ -234,7 +238,7 @@ def _cmd_equiv(args, out, err) -> int:
         lines.append(f"witness: {w.name} (difference {w.difference:.3e})")
     if args.oracle:
         oracle = oracle_search(rho1, rho2, restarts=args.restarts, seed=args.seed,
-                               stop_residual=1e-8)
+                               stop_residual=ORACLE_STOP_RESIDUAL)
         payload["oracle"] = {
             "residual": oracle.residual,
             "spectral_lower_bound": oracle.spectral_lower_bound,
@@ -251,6 +255,8 @@ def _cmd_equiv(args, out, err) -> int:
 
 def _cmd_orbit_dim(args, out, err) -> int:
     if args.state:
+        if args.dims is not None or args.rank is not None:
+            raise _UsageError("--dims and --rank go with --random, not --state")
         rho = read_state(args.state)
     else:
         if args.dims is None:

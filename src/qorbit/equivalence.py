@@ -15,6 +15,7 @@ each parametrized by a 3-vector (axis times angle).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,9 @@ from .invariants import (
 )
 from .local_action import LocalUnitary
 from .states import DensityMatrix
-
-SPECTRUM_TOL = 1e-10
-CANONICAL_TOL = 1e-6
-IDENTICAL_TOL = 1e-14
+from .tolerances import (
+    CANONICAL_TOL, COMPARE_RTOL, IDENTICAL_TOL, ORACLE_GTOL, SPECTRUM_TOL, SU2_SERIES_ANGLE,
+)
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,8 @@ def _check_pair(rho1: DensityMatrix, rho2: DensityMatrix) -> int:
     return rho1.shape.n
 
 
-def decide(rho1: DensityMatrix, rho2: DensityMatrix, rtol: float = 1e-8) -> EquivalenceVerdict:
+def decide(rho1: DensityMatrix, rho2: DensityMatrix,
+           rtol: float = COMPARE_RTOL) -> EquivalenceVerdict:
     """Equivalence verdict for two 2- or 3-qubit states.
 
     ``distinct`` always names the first differing invariant (or the
@@ -88,8 +89,11 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix, rtol: float = 1e-8) -> Equi
     canonicalized, and the verdict is gated on the two canonical points'
     genericity reports: ``equivalent`` reports the largest canonical
     component deviation, and a non-generic report gives ``inconclusive``.
-    ``rtol`` rescales the degree-aware invariant comparison tolerance.
+    ``rtol`` rescales the degree-aware invariant comparison tolerance; it
+    must be finite and at least 0.
     """
+    if not (math.isfinite(rtol) and rtol >= 0.0):
+        raise ValidationError(f"comparison tolerance must be finite and >= 0, got {rtol!r}")
     n = _check_pair(rho1, rho2)
 
     entry_scale = max(float(np.abs(rho1.matrix).max()), float(np.abs(rho2.matrix).max()))
@@ -156,7 +160,7 @@ def _su2(v: np.ndarray) -> np.ndarray:
     """exp(-i v.sigma / 2): rotation by |v| about the axis v."""
     theta = float(np.linalg.norm(v))
     c = np.cos(theta / 2.0)
-    if theta < 1e-8:
+    if theta < SU2_SERIES_ANGLE:
         g = 0.5 - theta * theta / 48.0
     else:
         g = np.sin(theta / 2.0) / theta
@@ -203,7 +207,8 @@ def oracle_search(
     used = 0
     for restart in range(restarts):
         x0 = np.zeros(3 * n) if restart == 0 else rng.uniform(-np.pi, np.pi, 3 * n)
-        result = minimize(objective, x0, method="BFGS", options={"gtol": 1e-12, "maxiter": 400})
+        result = minimize(objective, x0, method="BFGS",
+                          options={"gtol": ORACLE_GTOL, "maxiter": 400})
         used = restart + 1
         if result.fun < best_val:
             best_val = float(result.fun)

@@ -25,8 +25,11 @@ import numpy as np
 from . import fileio
 from .bloch import BlochTensor, reconstruct
 from .errors import NumericalError, ParseError, UnsupportedShape
+from .tolerances import (
+    COEFFICIENT_SCALE_FLOOR, COMPARE_ABS_FLOOR, COMPARE_RTOL, GRAM_PAIR_SPECTRA_TOL, GRAM_PSD_TOL,
+    PURITY_IDENTITY_TOL,
+)
 
-GRAM_PSD_TOL = -1e-12
 PAIR_KEYS = ("12", "13", "23")
 
 NAMES3: tuple[str, ...] = tuple(
@@ -57,9 +60,6 @@ NAMES2: tuple[str, ...] = (
 DEGREES2: tuple[int, ...] = (2, 4, 3, 2, 4, 6, 3, 5, 7, 9, 2, 4, 6, 9)
 
 MINIMAL2 = 10
-
-COMPARE_RTOL = 1e-8
-COMPARE_ABS_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,8 @@ def gram(t: BlochTensor) -> GramTriple:
     for low in spectra[:, -1].tolist():
         if low < GRAM_PSD_TOL:
             raise NumericalError(f"Gram matrix has negative eigenvalue {low:.3e}")
-    if t.n == 2 and np.abs(spectra[0] - spectra[1]).max() > 1e-12:
-        raise NumericalError("two-qubit Gram spectra disagree beyond 1e-12")
+    if t.n == 2 and np.abs(spectra[0] - spectra[1]).max() > GRAM_PAIR_SPECTRA_TOL:
+        raise NumericalError(f"two-qubit Gram spectra disagree beyond {GRAM_PAIR_SPECTRA_TOL:.0e}")
     return GramTriple(n=t.n, mats=tuple(mats), spectra=tuple(spectra), frames=tuple(frames))
 
 
@@ -252,14 +252,14 @@ def invariant1(t: BlochTensor) -> Invariant1:
     """|alpha|^2, cross-checked against tr(rho^2) = 1/2 + 2 |alpha|^2.
 
     The purity is computed independently from the reconstructed matrix,
-    and the identity is asserted to 1e-12.
+    and the identity is asserted to ``PURITY_IDENTITY_TOL``.
     """
     if t.n != 1:
         raise UnsupportedShape(f"invariant1 needs n=1, got n={t.n}")
     value = float(np.dot(t.alpha, t.alpha))
     rho = reconstruct(t)
     purity = rho.purity()
-    if abs(purity - (0.5 + 2.0 * value)) > 1e-12:
+    if abs(purity - (0.5 + 2.0 * value)) > PURITY_IDENTITY_TOL:
         raise NumericalError(
             f"purity identity violated: tr(rho^2) = {purity!r}, 1/2 + 2|alpha|^2 = {0.5 + 2 * value!r}"
         )
@@ -268,7 +268,7 @@ def invariant1(t: BlochTensor) -> Invariant1:
 
 def coefficient_scale(*tensors: BlochTensor) -> float:
     """Largest coefficient magnitude across tensors, floored away from 0."""
-    return max(1e-30, *(t.max_abs() for t in tensors))
+    return max(COEFFICIENT_SCALE_FLOOR, *(t.max_abs() for t in tensors))
 
 
 def first_disagreement(

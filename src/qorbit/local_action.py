@@ -19,9 +19,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .states import DensityMatrix, SystemShape
-
-UNITARITY_TOL = 1e-12
-SPECIAL_TOL = 1e-10
+from .tolerances import LIFT_BRANCH_TOL, SPECIAL_TOL, UNITARITY_TOL
 
 
 @dataclass(frozen=True)
@@ -177,7 +175,7 @@ def lift_rotation(o) -> np.ndarray:
         q[:] = ((o[1, 0] - o[0, 1]) / (4 * z), (o[0, 2] + o[2, 0]) / (4 * z), (o[1, 2] + o[2, 1]) / (4 * z), z)
     q /= np.linalg.norm(q)
     for component in q:
-        if abs(component) > 1e-12:
+        if abs(component) > LIFT_BRANCH_TOL:
             if component < 0:
                 q = -q
             break

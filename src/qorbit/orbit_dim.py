@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import UnsupportedShape, ValidationError
 from .states import DensityMatrix, SystemShape, generator_basis
+from .tolerances import RANK_RTOL
 
-RANK_RTOL = 1e-9
 # Largest tangent frame built, in bytes: sum(d_r^2 - 1) rows of 2 D^2
 # float64 entries. Ten qubits (503 MB) fit; eleven (2.2 GB) do not.
 _MAX_FRAME_BYTES = 2**30

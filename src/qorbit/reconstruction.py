@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochTensor
-from .canonical import (
-    CanonicalPoint,
-    EIGENGAP_RTOL,
-    SIGN_INVARIANT_TOL,
-    genericity,
-)
+from .canonical import CanonicalPoint, genericity
 from .errors import (
     ConstraintViolation,
     DegenerateSpectrum,
@@ -38,13 +33,11 @@ from .errors import (
 )
 from .invariants import InvariantSet3, _gram_mats
 from .local_action import RotationTriple
-
-NEGATIVE_SQUARE_CLIP = -1e-10
-NEGATIVE_SQUARE_HARD = -1e-6
-DIAGONALITY_RTOL = 1e-6
-SIGN_CONSISTENCY_RTOL = 1e-6
-VANDER_DET_RTOL = 1e-10
-DET_PRODUCT_RTOL = 1e-8
+from .tolerances import (
+    CUBIC_DEPRESSED_TOL, CUBIC_DISCRIMINANT_TOL, CUBIC_TRIPLE_ROOT_TOL, DET_PRODUCT_RTOL,
+    DIAGONALITY_RTOL, EIGENGAP_RTOL, NEGATIVE_ROOT_RTOL, NEGATIVE_SQUARE_HARD, PINNED_DRIFT_RTOL,
+    SIGN_CONSISTENCY_RTOL, SIGN_INVARIANT_TOL, VANDER_DET_RTOL,
+)
 
 
 def _vander_scaled(spectrum: np.ndarray) -> tuple[np.ndarray, float]:
@@ -91,12 +84,12 @@ def spectra_from_traces(traces) -> np.ndarray:
     p = e2 - e1 * e1 / 3.0
     q = -2.0 * e1**3 / 27.0 + e1 * e2 / 3.0 - e3
     disc = -4.0 * p**3 - 27.0 * q * q
-    if disc < -1e-9 or p > 1e-9:
+    if disc < CUBIC_DISCRIMINANT_TOL or p > CUBIC_DEPRESSED_TOL:
         raise InconsistentTraces(
             f"traces ({t1:.6g}, {t2:.6g}, {t3:.6g}) admit no real spectrum "
             f"(discriminant {disc:.3e}, depressed coefficient {p:.3e})"
         )
-    if p >= -1e-30:
+    if p >= CUBIC_TRIPLE_ROOT_TOL:
         roots = np.full(3, e1 / 3.0)
     else:
         arg = np.clip((3.0 * q / (2.0 * p)) * math.sqrt(-3.0 / p), -1.0, 1.0)
@@ -104,7 +97,7 @@ def spectra_from_traces(traces) -> np.ndarray:
         amp = 2.0 * math.sqrt(-p / 3.0)
         roots = amp * np.cos(phi - 2.0 * np.pi * np.arange(3) / 3.0) + e1 / 3.0
     roots = np.sort(roots)[::-1] * scale
-    if roots[-1] < -1e-10 * max(1.0, abs(t1)):
+    if roots[-1] < NEGATIVE_ROOT_RTOL * max(1.0, abs(t1)):
         raise InconsistentTraces(
             f"recovered spectrum has negative eigenvalue {roots[-1]:.3e}"
         )
@@ -145,7 +138,7 @@ def vector_from_quadratics(quads, sign_invariant: float, spectrum) -> np.ndarray
     if abs(others * det) > 1e-300:
         pinned = sign_invariant / (det * others)
         drift = abs(pinned - vec[smallest]) / max(abs(pinned), abs(vec[smallest]), 1e-300)
-        if drift > 1e-3:
+        if drift > PINNED_DRIFT_RTOL:
             raise ConstraintViolation(
                 f"quadratics and sign invariant disagree on component {smallest + 1}: "
                 f"{vec[smallest]:.6e} vs {pinned:.6e}"

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,10 +30,7 @@ from .errors import (
     TraceNotOne,
     ValidationError,
 )
-
-HERMITICITY_RTOL = 1e-12
-TRACE_TOL = 1e-12
-EIGENVALUE_FLOOR = -1e-10
+from .tolerances import EIGENVALUE_FLOOR, HERMITICITY_RTOL, TRACE_TOL
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,10 @@ class SystemShape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError:
+            raise ShapeMismatch(f"site dimensions must be integers, got {self.dims!r}") from None
         if not dims or any(d < 2 for d in dims):
             raise ShapeMismatch(f"every site dimension must be >= 2, got {dims}")
         object.__setattr__(self, "dims", dims)
@@ -69,6 +70,7 @@ class DensityMatrix:
 
     shape: SystemShape
     matrix: np.ndarray
+    _spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -91,18 +93,21 @@ class DensityMatrix:
             raise TraceNotOne(
                 f"|tr - 1| = {trace_dev:.3e} exceeds {TRACE_TOL:.0e}", margin=trace_dev
             )
-        min_eig = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
+        spectrum = np.linalg.eigvalsh(m)
+        min_eig = float(spectrum[0])
         if min_eig < EIGENVALUE_FLOOR:
             raise NotPositive(
                 f"smallest eigenvalue {min_eig:.3e} below {EIGENVALUE_FLOOR:.0e}",
                 margin=min_eig,
             )
         m.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_spectrum", spectrum)
 
     def eigenvalues(self) -> np.ndarray:
-        """Global spectrum, sorted ascending."""
-        return np.linalg.eigvalsh(self.matrix)
+        """Global spectrum, sorted ascending: the read-only one validation computed."""
+        return self._spectrum
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -158,7 +163,10 @@ def random_state(shape: SystemShape, rank: int | None = None, seed: int = 0) -> 
     d = shape.total_dim
     if rank is None:
         rank = d
-    rank = int(rank)
+    try:
+        rank = operator.index(rank)
+    except TypeError:
+        raise BadRank(f"rank must be an integer, got {rank!r}") from None
     if not 1 <= rank <= d:
         raise BadRank(f"rank must lie in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)

@@ -404,3 +404,49 @@ class TestSharedParser:
         code, out, _ = invoke("orbit-dim", "--random", "--dims", "2,2")
         assert code == 0
         assert out.startswith("orbit dimension: 6")
+
+
+class TestOptionsWhereRead:
+    """--tol and --seed exist only on the subcommands that read them."""
+
+    @pytest.fixture
+    def argvs(self, state_file, tmp_path):
+        _, inv_json, _ = invoke("invariants", state_file, "--json")
+        inv = tmp_path / "inv.json"
+        inv.write_text(inv_json)
+        return {
+            "expand": ("expand", state_file),
+            "invariants": ("invariants", state_file),
+            "canonical": ("canonical", state_file),
+            "reconstruct": ("reconstruct", str(inv)),
+            "count": ("count", "--dims", "2,2"),
+            "random": ("random", "--dims", "2,2", "-o", str(tmp_path / "r.json")),
+        }
+
+    @pytest.mark.parametrize("command", [
+        "expand", "invariants", "canonical", "reconstruct", "count", "random",
+    ])
+    def test_tol_is_usage_error(self, argvs, command):
+        code, out, err = invoke(*argvs[command], "--tol", "5")
+        assert code == 3
+        assert out == "" and "unrecognized arguments: --tol 5" in err
+
+    @pytest.mark.parametrize(
+        "command", ["expand", "invariants", "canonical", "reconstruct", "count"]
+    )
+    def test_seed_is_usage_error(self, argvs, command):
+        code, out, err = invoke(*argvs[command], "--seed", "9")
+        assert code == 3
+        assert out == "" and "unrecognized arguments: --seed 9" in err
+
+    @pytest.mark.parametrize("extra", [("--dims", "2,2,2"), ("--rank", "1")])
+    def test_orbit_dim_state_refuses_random_options(self, state_file, extra):
+        code, out, err = invoke("orbit-dim", "--state", state_file, *extra)
+        assert code == 3
+        assert out == "" and "--dims and --rank go with --random" in err
+
+    def test_options_still_read_where_used(self, pair_files, tmp_path):
+        out = str(tmp_path / "r.json")
+        assert invoke("equiv", *pair_files, "--tol", "1e-6", "--seed", "2")[0] == 0
+        assert invoke("orbit-dim", "--random", "--dims", "2,2", "--tol", "1e-6", "--seed", "2")[0] == 0
+        assert invoke("random", "--dims", "2,2", "--seed", "2", "-o", out)[0] == 0

@@ -3,7 +3,7 @@ import pytest
 
 import qorbit as q
 from qorbit.equivalence import spectral_lower_bound
-from qorbit.errors import ShapeMismatch, UnsupportedShape
+from qorbit.errors import ShapeMismatch, UnsupportedShape, ValidationError
 
 
 def on_orbit_pair(dims, state_seed, unitary_seed):
@@ -80,6 +80,17 @@ class TestDecide:
                 q.random_state(q.SystemShape((2, 2)), seed=16),
                 q.random_state(q.SystemShape((2, 2, 2)), seed=17),
             )
+
+    @pytest.mark.parametrize("rtol", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_rtol_must_be_finite_and_nonnegative(self, rtol):
+        rho1, rho2 = on_orbit_pair((2, 2, 2), 21, 421)
+        with pytest.raises(ValidationError, match="comparison tolerance"):
+            q.decide(rho1, rho2, rtol=rtol)
+
+    def test_rtol_zero_accepted(self):
+        # Roundoff on an on-orbit pair stays under the absolute comparison floor.
+        rho1, rho2 = on_orbit_pair((2, 2), 22, 422)
+        assert q.decide(rho1, rho2, rtol=0.0).verdict == "equivalent"
 
     def test_unsupported_shape(self):
         rho = q.random_state(q.SystemShape((2, 3)), seed=18)

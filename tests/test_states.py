@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -27,6 +28,15 @@ class TestSystemShape:
     def test_rejects_dims_below_two(self):
         with pytest.raises(ShapeMismatch):
             q.SystemShape((2, 1))
+
+    @pytest.mark.parametrize("dims", [(2.7, 2), (2.0, 2), ("3",), (np.float64(2),), (None, 2), 3])
+    def test_rejects_non_integer_dims(self, dims):
+        with pytest.raises(ShapeMismatch, match="must be integers"):
+            q.SystemShape(dims)
+
+    def test_numpy_integer_dims_become_ints(self):
+        shape = q.SystemShape((np.int64(2), np.int32(3)))
+        assert shape.dims == (2, 3) and all(type(d) is int for d in shape.dims)
 
 
 class TestValidate:
@@ -177,6 +187,33 @@ class TestRandomState:
             q.random_state(q.SystemShape((2, 2)), rank=5, seed=0)
         with pytest.raises(BadRank):
             q.random_state(q.SystemShape((2, 2)), rank=0, seed=0)
+
+    @pytest.mark.parametrize("rank", [2.7, 2.0, "2", np.float64(2)])
+    def test_non_integer_rank(self, rank):
+        with pytest.raises(BadRank, match="must be an integer"):
+            q.random_state(q.SystemShape((2, 2)), rank=rank, seed=0)
+
+    def test_numpy_integer_rank(self):
+        shape = q.SystemShape((2, 2))
+        rho = q.random_state(shape, rank=np.int64(2), seed=0)
+        assert np.array_equal(rho.matrix, q.random_state(shape, rank=2, seed=0).matrix)
+
+
+class TestSpectrum:
+    """Validation's eigendecomposition is the one ``eigenvalues`` returns."""
+
+    @pytest.mark.parametrize("dims, rank", [((2, 2, 2), None), ((2, 3), 2), ((2,), 1)])
+    def test_spectrum_is_eigvalsh_of_matrix(self, dims, rank):
+        rho = q.random_state(q.SystemShape(dims), rank=rank, seed=3)
+        spectrum = rho.eigenvalues()
+        assert np.array_equal(spectrum, np.linalg.eigvalsh(rho.matrix))
+        assert spectrum is rho.eigenvalues()
+        assert not spectrum.flags.writeable
+
+    def test_spectrum_outside_repr_and_equality(self):
+        rho = q.maximally_mixed(QUBIT)
+        assert "spectrum" not in repr(rho)
+        assert "_spectrum" not in {f.name for f in dataclasses.fields(rho) if f.compare}
 
 
 class TestStateFiles:
