@@ -46,6 +46,11 @@ _COMPONENTS = {
 }
 # Component name -> array shape: one axis of length 3 per non-identity site.
 _SHAPES = {name: (3,) * sum(p is not None for p in pattern) for name, pattern in _COMPONENTS[3]}
+# n -> component name -> the site of each of its axes, in axis order.
+_SITES = {
+    n: {name: tuple(pattern.index(axis) for axis in range(len(_SHAPES[name]))) for name, pattern in components}
+    for n, components in _COMPONENTS.items()
+}
 
 
 def _components(n: int) -> list:
@@ -104,6 +109,21 @@ class BlochTensor:
 
     def max_abs(self) -> float:
         return float(np.abs(self.flatten()).max())
+
+
+def _contract(arr: np.ndarray, mats, sites: tuple) -> np.ndarray:
+    """Contract ``mats[sites[k]]`` into axis k of ``arr``, one matrix per axis.
+
+    Rotating a component and inverting its mixed invariants are both this
+    product; each rank keeps one fixed numpy call so the result is
+    reproducible bit for bit.
+    """
+    rank = len(sites)
+    if rank == 1:
+        return mats[sites[0]] @ arr
+    if rank == 2:
+        return mats[sites[0]] @ arr @ mats[sites[1]].T
+    return np.einsum("im,jn,kp,mnp->ijk", mats[sites[0]], mats[sites[1]], mats[sites[2]], arr)
 
 
 def _kron(*mats: np.ndarray) -> np.ndarray:
@@ -168,10 +188,7 @@ def reconstruct(t: BlochTensor) -> DensityMatrix:
     """
     n = t.n
     d = 2**n
-    m = np.eye(d, dtype=complex) / d
-    for name, words in _component_words(n).items():
-        coeff = getattr(t, name)
-        m = m + np.tensordot(coeff, words, axes=coeff.ndim)
+    m = np.eye(d, dtype=complex) / d + np.tensordot(t.flatten(), _flat_words(n), axes=1)
     return DensityMatrix(SystemShape((2,) * n), m)
 
 

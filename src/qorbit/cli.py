@@ -136,13 +136,14 @@ def build_parser() -> _Parser:
     p.add_argument("--restarts", type=_restarts_arg, default=20,
                    help="oracle restarts (default 20)")
 
-    p = sub.add_parser("orbit-dim", parents=[common, tol, seed],
+    p = sub.add_parser("orbit-dim", parents=[common, tol],
                        help="orbit dimension from the tangent frame")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--state", help="state file")
     group.add_argument("--random", action="store_true", help="use a seeded random state")
     p.add_argument("--dims", type=_dims_arg, help="system shape, e.g. 2,2,2")
     p.add_argument("--rank", type=int, default=None, help="rank of the random state")
+    p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
 
     p = sub.add_parser("count", parents=[common],
                        help="closed-form count of non-local parameters")
@@ -257,12 +258,14 @@ def _cmd_orbit_dim(args, out, err) -> int:
     if args.state:
         if args.dims is not None or args.rank is not None:
             raise _UsageError("--dims and --rank go with --random, not --state")
+        if args.seed is not None:
+            raise _UsageError("--seed goes with --random, not --state")
         rho = read_state(args.state)
     else:
         if args.dims is None:
             raise _UsageError("--random requires --dims")
         _check_frame_size(args.dims)  # refuse before drawing a state too large to rank
-        rho = random_state(args.dims, rank=args.rank, seed=args.seed)
+        rho = random_state(args.dims, rank=args.rank, seed=args.seed or 0)
     tol = args.tol if args.tol is not None else RANK_RTOL
     result = orbit_dimension(rho, tol=tol)
     payload = {

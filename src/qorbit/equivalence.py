@@ -16,6 +16,7 @@ each parametrized by a 3-vector (axis times angle).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +189,10 @@ def oracle_search(
     draws. A large residual is a result, not an error. ``restarts`` must be
     at least 1.
     """
+    try:
+        restarts = operator.index(restarts)
+    except TypeError:
+        raise ValidationError(f"oracle restarts must be an integer, got {restarts!r}") from None
     if restarts < 1:
         raise ValidationError(f"oracle needs at least one restart, got {restarts}")
     n = _check_pair(rho1, rho2)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import PAULI, BlochTensor
+from .bloch import _SITES, PAULI, BlochTensor, _contract
 from .errors import (
     NotSpecialOrthogonal,
     NotSpecialUnitary,
@@ -194,31 +194,13 @@ def lift_rotations(rotations: RotationTriple) -> LocalUnitary:
 def transform_bloch(t: BlochTensor, rotations: RotationTriple) -> BlochTensor:
     """Apply per-site rotations to every component of a Bloch tensor.
 
-    Vectors rotate by their site's matrix, pair matrices by the two
-    matrices on either index, and the triple tensor contracts one rotation
-    into each index.
+    Each component contracts its sites' rotations into its axes: vectors
+    rotate by their site's matrix, pair matrices by the two matrices on
+    either index, and the triple tensor by one rotation per index.
     """
     if rotations.n != t.n:
         raise ShapeMismatch(f"{rotations.n} rotations for an n={t.n} tensor")
     mats = rotations.mats
-    if t.n == 1:
-        return BlochTensor(n=1, alpha=mats[0] @ t.alpha)
-    if t.n == 2:
-        l, m = mats
-        return BlochTensor(
-            n=2,
-            alpha=l @ t.alpha,
-            beta=m @ t.beta,
-            pair_12=l @ t.pair_12 @ m.T,
-        )
-    l, m, nrot = mats
-    return BlochTensor(
-        n=3,
-        alpha=l @ t.alpha,
-        beta=m @ t.beta,
-        gamma=nrot @ t.gamma,
-        pair_12=l @ t.pair_12 @ m.T,
-        pair_13=l @ t.pair_13 @ nrot.T,
-        pair_23=m @ t.pair_23 @ nrot.T,
-        triple=np.einsum("im,jn,kp,mnp->ijk", l, m, nrot, t.triple),
-    )
+    return BlochTensor(n=t.n, **{
+        name: _contract(getattr(t, name), mats, sites) for name, sites in _SITES[t.n].items()
+    })

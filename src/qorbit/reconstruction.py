@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochTensor
+from .bloch import _SITES, BlochTensor, _contract
 from .canonical import CanonicalPoint, genericity
 from .errors import (
     ConstraintViolation,
@@ -164,29 +164,19 @@ def _inverse_factor(spectrum, vector) -> np.ndarray:
     return k / (s ** np.arange(3))[None, :]
 
 
-def pair_from_mixed(mixed, row_spectrum, row_vector, col_spectrum, col_vector) -> np.ndarray:
-    """Canonical pair matrix from its nine mixed invariants.
+def _from_mixed(mixed, factors, sites) -> np.ndarray:
+    """Canonical block over ``sites`` from its mixed invariants.
 
-    The mixed block factorizes as (row factor) R (col factor)^T, so the
-    pair matrix is recovered with two 3x3 solves instead of one dense 9x9
-    system.
-    """
-    mixed = np.asarray(mixed, dtype=float).reshape(3, 3)
-    row_inv = _inverse_factor(row_spectrum, row_vector)
-    col_inv = _inverse_factor(col_spectrum, col_vector)
-    return row_inv @ mixed @ col_inv.T
-
-
-def triple_from_mixed(mixed, spectra, vectors) -> np.ndarray:
-    """Canonical triple tensor from its 27 mixed invariants.
-
-    After the three-factor inversion the recovered tensor must have
+    The mixed block is the canonical block with each site's (Vandermonde x
+    diagonal-component) factor contracted into its axis, so one inverse
+    factor per axis recovers it. A recovered triple tensor must have
     diagonal Gram matrices (that is what the canonical gauge means); a
     violation marks the invariant vector as inconsistent.
     """
-    mixed = np.asarray(mixed, dtype=float).reshape(3, 3, 3)
-    factors = [_inverse_factor(sp, vec) for sp, vec in zip(spectra, vectors)]
-    q = np.einsum("ir,js,kt,rst->ijk", factors[0], factors[1], factors[2], mixed)
+    mixed = np.asarray(mixed, dtype=float).reshape((3,) * len(sites))
+    q = _contract(mixed, factors, sites)
+    if len(sites) < 3:
+        return q
     for site, g in enumerate(_gram_mats(q)):
         off = g - np.diag(np.diag(g))
         worst = float(np.max(np.abs(off)))
@@ -197,6 +187,17 @@ def triple_from_mixed(mixed, spectra, vectors) -> np.ndarray:
                 f"(off-diagonal {worst:.3e} vs scale {scale:.3e})"
             )
     return q
+
+
+def pair_from_mixed(mixed, row_spectrum, row_vector, col_spectrum, col_vector) -> np.ndarray:
+    """Canonical pair matrix from its nine mixed invariants: two 3x3 factors, not a 9x9 solve."""
+    factors = (_inverse_factor(row_spectrum, row_vector), _inverse_factor(col_spectrum, col_vector))
+    return _from_mixed(mixed, factors, (0, 1))
+
+
+def triple_from_mixed(mixed, spectra, vectors) -> np.ndarray:
+    """Canonical triple tensor from its 27 mixed invariants, checked for diagonal Gram matrices."""
+    return _from_mixed(mixed, [_inverse_factor(sp, vec) for sp, vec in zip(spectra, vectors)], (0, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -264,20 +265,15 @@ def reconstruct_canonical(inv: InvariantSet3) -> CanonicalPoint:
     system = VandermondeSystem(spectra=spectra, vectors=vectors)
     system.verify_determinants()
     system.verify_signs(signs)
-    pair_12 = pair_from_mixed(inv.pair_family("12"), spectra[0], vectors[0], spectra[1], vectors[1])
-    pair_13 = pair_from_mixed(inv.pair_family("13"), spectra[0], vectors[0], spectra[2], vectors[2])
-    pair_23 = pair_from_mixed(inv.pair_family("23"), spectra[1], vectors[1], spectra[2], vectors[2])
-    triple = triple_from_mixed(inv.triple_family(), spectra, vectors)
-    tensor = BlochTensor(
-        n=3,
-        alpha=vectors[0],
-        beta=vectors[1],
-        gamma=vectors[2],
-        pair_12=pair_12,
-        pair_13=pair_13,
-        pair_23=pair_23,
-        triple=triple,
-    )
+    factors = [_inverse_factor(sp, vec) for sp, vec in zip(spectra, vectors)]
+    parts = {}
+    for name, sites in _SITES[3].items():
+        if len(sites) == 1:
+            parts[name] = vectors[sites[0]]
+        else:
+            mixed = inv.triple_family() if name == "triple" else inv.pair_family(name.removeprefix("pair_"))
+            parts[name] = _from_mixed(mixed, factors, sites)
+    tensor = BlochTensor(n=3, **parts)
     return CanonicalPoint(
         tensor=tensor,
         gauge=RotationTriple.identity(3),

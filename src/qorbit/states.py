@@ -241,7 +241,10 @@ def generator_basis(d: int) -> GeneratorBasis:
     diagonal generator at level k. For d = 2 this yields exactly the three
     Pauli matrices; for d = 3 the standard eight-generator family.
     """
-    d = int(d)
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise ShapeMismatch(f"generator basis needs an integer d, got {d!r}") from None
     if d < 2:
         raise ShapeMismatch(f"generator basis needs d >= 2, got {d}")
     return _generator_basis_cached(d)

@@ -445,6 +445,18 @@ class TestOptionsWhereRead:
         assert code == 3
         assert out == "" and "--dims and --rank go with --random" in err
 
+    @pytest.mark.parametrize("seed", ["5", "0"])
+    def test_orbit_dim_state_refuses_seed(self, state_file, seed):
+        code, out, err = invoke("orbit-dim", "--state", state_file, "--seed", seed)
+        assert code == 3
+        assert out == "" and "--seed goes with --random" in err
+
+    def test_seed_defaults_to_zero(self, tmp_path):
+        orbit = ("orbit-dim", "--random", "--dims", "2,2", "--rank", "2", "--json")
+        assert invoke(*orbit) == invoke(*orbit, "--seed", "0")
+        code, out, _ = invoke("random", "--dims", "2,2", "-o", str(tmp_path / "r.json"), "--json")
+        assert code == 0 and json.loads(out)["seed"] == 0
+
     def test_options_still_read_where_used(self, pair_files, tmp_path):
         out = str(tmp_path / "r.json")
         assert invoke("equiv", *pair_files, "--tol", "1e-6", "--seed", "2")[0] == 0

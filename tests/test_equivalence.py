@@ -113,6 +113,17 @@ class TestOracleSearch:
         with pytest.raises(q.ValidationError, match="at least one restart"):
             q.oracle_search(rho, rho, restarts=restarts)
 
+    @pytest.mark.parametrize("restarts", [2.5, 1.0, "2", np.float64(1)])
+    def test_non_integer_restarts_refused(self, restarts):
+        rho = q.random_state(q.SystemShape((2, 2)), seed=20)
+        with pytest.raises(q.ValidationError, match="must be an integer"):
+            q.oracle_search(rho, rho, restarts=restarts)
+
+    def test_numpy_integer_restarts(self):
+        rho = q.random_state(q.SystemShape((2, 2)), seed=20)
+        result = q.oracle_search(rho, rho, restarts=np.int64(1))
+        assert result.restarts_used == 1
+
     def test_on_orbit_pair_reaches_threshold(self):
         rho1, rho2 = on_orbit_pair((2, 2, 2), 21, 121)
         result = q.oracle_search(rho1, rho2, restarts=20, seed=1, stop_residual=5e-7)

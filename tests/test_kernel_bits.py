@@ -3,7 +3,10 @@
 Each reference below is the earlier, call-per-component version of a
 kernel, kept as the oracle. The rewrites only drop wrapper calls and
 Python loops; every rounded operation stays, so results are compared bit
-for bit (signed zeros included), never with a tolerance.
+for bit (signed zeros included), never with a tolerance. The one
+exception is ``bloch.reconstruct`` at n >= 2: its single flat tensordot
+sums the Pauli words in another order than the per-component loop, so it
+is held to one rounding (2.2e-16) there and compared bit for bit at n = 1.
 """
 
 import numpy as np
@@ -12,12 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qorbit as q
-from qorbit import bloch, invariants
+from qorbit import bloch, invariants, reconstruction
 from qorbit.bloch import BlochTensor, _component_words
-from qorbit.canonical import KLEIN, _report_from_gram, _uniform_sign_element
-from qorbit.errors import NotSpecialOrthogonal, NumericalError, ShapeMismatch
+from qorbit.canonical import KLEIN, CanonicalPoint, _report_from_gram, _uniform_sign_element, genericity
+from qorbit.errors import ConstraintViolation, NotSpecialOrthogonal, NumericalError, ShapeMismatch, ToolkitError
 from qorbit.invariants import GRAM_PSD_TOL, _gram_mats, _sign_invariant, _triple_product
 from qorbit.local_action import UNITARITY_TOL, RotationTriple
+from qorbit.reconstruction import (
+    DIAGONALITY_RTOL, SIGN_INVARIANT_TOL, VandermondeSystem, _inverse_factor, spectra_from_traces,
+    vector_from_quadratics,
+)
 
 
 def same_bits(a, b) -> bool:
@@ -152,6 +159,81 @@ def rotation_error_ref(mats):
     return None
 
 
+def transform_bloch_ref(t, rotations):
+    """One hand-written branch per n."""
+    mats = rotations.mats
+    if t.n == 1:
+        return BlochTensor(n=1, alpha=mats[0] @ t.alpha)
+    if t.n == 2:
+        l, m = mats
+        return BlochTensor(n=2, alpha=l @ t.alpha, beta=m @ t.beta, pair_12=l @ t.pair_12 @ m.T)
+    l, m, nrot = mats
+    return BlochTensor(
+        n=3, alpha=l @ t.alpha, beta=m @ t.beta, gamma=nrot @ t.gamma,
+        pair_12=l @ t.pair_12 @ m.T, pair_13=l @ t.pair_13 @ nrot.T, pair_23=m @ t.pair_23 @ nrot.T,
+        triple=np.einsum("im,jn,kp,mnp->ijk", l, m, nrot, t.triple),
+    )
+
+
+def pair_from_mixed_ref(mixed, row_spectrum, row_vector, col_spectrum, col_vector):
+    mixed = np.asarray(mixed, dtype=float).reshape(3, 3)
+    row_inv = _inverse_factor(row_spectrum, row_vector)
+    col_inv = _inverse_factor(col_spectrum, col_vector)
+    return row_inv @ mixed @ col_inv.T
+
+
+def triple_from_mixed_ref(mixed, spectra, vectors):
+    mixed = np.asarray(mixed, dtype=float).reshape(3, 3, 3)
+    factors = [_inverse_factor(sp, vec) for sp, vec in zip(spectra, vectors)]
+    q_ = np.einsum("ir,js,kt,rst->ijk", factors[0], factors[1], factors[2], mixed)
+    for site, g in enumerate(_gram_mats(q_)):
+        off = g - np.diag(np.diag(g))
+        worst = float(np.max(np.abs(off)))
+        scale = max(float(np.max(np.abs(np.diag(g)))), 1e-300)
+        if worst > DIAGONALITY_RTOL * scale:
+            raise ConstraintViolation(
+                f"site {site + 1} Gram matrix of the recovered tensor is not diagonal "
+                f"(off-diagonal {worst:.3e} vs scale {scale:.3e})"
+            )
+    return q_
+
+
+def reconstruct_canonical_ref(inv):
+    """Each pair and the triple recovered by hand, each inverting its own site factors."""
+    signs = inv.sign_family()
+    for label, value in zip(("site 1", "site 2", "site 3"), signs):
+        if abs(value) <= reconstruction.SIGN_INVARIANT_TOL:
+            raise q.ZeroSignInvariant(
+                f"{label} sign invariant {value:.3e} below {reconstruction.SIGN_INVARIANT_TOL:.0e}"
+            )
+    spectra = tuple(spectra_from_traces(inv.trace_family(site)) for site in range(3))
+    vectors = tuple(
+        vector_from_quadratics(inv.quad_family(site), float(signs[site]), spectra[site])
+        for site in range(3)
+    )
+    system = VandermondeSystem(spectra=spectra, vectors=vectors)
+    system.verify_determinants()
+    system.verify_signs(signs)
+    tensor = BlochTensor(
+        n=3, alpha=vectors[0], beta=vectors[1], gamma=vectors[2],
+        pair_12=pair_from_mixed_ref(inv.pair_family("12"), spectra[0], vectors[0], spectra[1], vectors[1]),
+        pair_13=pair_from_mixed_ref(inv.pair_family("13"), spectra[0], vectors[0], spectra[2], vectors[2]),
+        pair_23=pair_from_mixed_ref(inv.pair_family("23"), spectra[1], vectors[1], spectra[2], vectors[2]),
+        triple=triple_from_mixed_ref(inv.triple_family(), spectra, vectors),
+    )
+    return CanonicalPoint(tensor=tensor, gauge=RotationTriple.identity(3), report=genericity(tensor))
+
+
+def reconstruct_ref(t):
+    """1/2^n plus one tensordot per component, summed in component order."""
+    d = 2**t.n
+    m = np.eye(d, dtype=complex) / d
+    for name, words in _component_words(t.n).items():
+        coeff = getattr(t, name)
+        m = m + np.tensordot(coeff, words, axes=coeff.ndim)
+    return m
+
+
 # ---------------------------------------------------------------- inputs
 
 # Exact zeros of both signs, tied magnitudes and signs, values straddling
@@ -200,6 +282,37 @@ def rotation(seed: int, noise: float, reflect: bool) -> np.ndarray:
 
 rotations = st.builds(rotation, st.integers(0, 10**6),
                       st.sampled_from([0.0, 1e-15, 1e-13, 3e-13, 1e-12, 1e-11, 1e-6]), st.booleans())
+
+
+def unchecked_rotations(mats) -> RotationTriple:
+    """A RotationTriple over any 3x3 matrices, skipping the SO(3) checks.
+
+    The contraction is the same arithmetic whether or not the matrices are
+    rotations, so the noisy and reflected draws above are compared too.
+    """
+    triple = object.__new__(RotationTriple)
+    object.__setattr__(triple, "mats", tuple(mats))
+    return triple
+
+
+tensors_and_rotations = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(tensors(n), st.lists(rotations, min_size=n, max_size=n)))
+
+
+def outcome(fn, *args):
+    """The result of fn, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+def same_point(got, want) -> bool:
+    if not isinstance(want, CanonicalPoint):
+        return got == want
+    return (isinstance(got, CanonicalPoint) and got.report == want.report
+            and all(same_bits(a, b) for (_, a), (_, b) in zip(got.tensor.component_items(),
+                                                               want.tensor.component_items())))
 
 
 # ---------------------------------------------------------------- tests
@@ -370,3 +483,83 @@ class TestRotationChecks:
         assert r == (1 if first_ok else 0)
         assert str(info.value) == message
 
+
+
+class TestTransformBloch:
+    @settings(max_examples=300, deadline=None)
+    @given(tensors_and_rotations)
+    def test_matches_per_n_branches(self, drawn):
+        t, mats = drawn
+        rotations = unchecked_rotations(mats)
+        got, want = q.transform_bloch(t, rotations), transform_bloch_ref(t, rotations)
+        assert [name for name, _ in got.component_items()] == [name for name, _ in want.component_items()]
+        for (name, a), (_, b) in zip(got.component_items(), want.component_items()):
+            assert same_bits(a, b), name
+
+
+class TestReconstruction:
+    @settings(max_examples=60, deadline=None)
+    @given(states(1))
+    def test_reconstruct_one_qubit_bits(self, rho):
+        t = q.expand(rho)
+        assert same_bits(q.reconstruct(t).matrix, reconstruct_ref(t))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(states(2), states(3)))
+    def test_reconstruct_within_one_rounding(self, rho):
+        """One tensordot over the flat stack sums the words in another order than per component."""
+        t = q.expand(rho)
+        assert np.max(np.abs(q.reconstruct(t).matrix - reconstruct_ref(t))) <= 2.2e-16
+
+    @settings(max_examples=100, deadline=None)
+    @given(states(3))
+    def test_reconstruct_canonical(self, rho):
+        inv = q.invariants3(q.expand(rho))
+        assert same_point(outcome(q.reconstruct_canonical, inv), outcome(reconstruct_canonical_ref, inv))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_perturbed_triple_block(self, seed):
+        inv = q.invariants3(q.expand(q.random_state(q.SystemShape((2, 2, 2)), seed=seed)))
+        values = inv.values.copy()
+        values[48:75] *= 1.0 + 1e-3 * np.random.default_rng(seed).standard_normal(27)
+        bad = q.InvariantSet3(values)
+        got, want = outcome(q.reconstruct_canonical, bad), outcome(reconstruct_canonical_ref, bad)
+        assert want[0] is ConstraintViolation and "not diagonal" in want[1]
+        assert got == want
+
+    def test_singular_site_factor(self, monkeypatch):
+        """A factor determinant just below the tolerance its sign invariant clears.
+
+        Rounding leaves det(Vandermonde * diag) an ulp or so from the sign
+        invariant; where it falls below it, a tolerance equal to it passes
+        the sign checks and refuses that site's factor.
+        """
+        checked = 0
+        for seed in range(60):
+            inv = q.invariants3(q.expand(q.random_state(q.SystemShape((2, 2, 2)), seed=seed)))
+            signs = np.abs(inv.sign_family())
+            site = int(np.argmin(signs))
+            spectrum = spectra_from_traces(inv.trace_family(site))
+            vector = vector_from_quadratics(inv.quad_family(site), float(inv.sign_family()[site]), spectrum)
+            det = abs(reconstruction._det_vander(spectrum) * float(np.prod(vector)))
+            if not det < signs[site]:
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(reconstruction, "SIGN_INVARIANT_TOL", det)
+                got, want = outcome(q.reconstruct_canonical, inv), outcome(reconstruct_canonical_ref, inv)
+            assert want[0] is q.SingularSystem
+            assert got == want
+            checked += 1
+        assert checked >= 5
+        assert reconstruction.SIGN_INVARIANT_TOL == SIGN_INVARIANT_TOL
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(arrays((3,)), min_size=3, max_size=3), arrays((3, 3)), arrays((3, 3, 3)))
+    def test_from_mixed_helpers(self, vectors, pair, triple):
+        spectra = [np.array([3.0, 2.0, 0.5]), np.array([1.0, 0.25, 0.125]), np.array([7.0, 5.0, 1.0])]
+        got = outcome(reconstruction.pair_from_mixed, pair, spectra[0], vectors[0], spectra[2], vectors[2])
+        want = outcome(pair_from_mixed_ref, pair, spectra[0], vectors[0], spectra[2], vectors[2])
+        assert same_bits(got, want) if isinstance(want, np.ndarray) else got == want
+        got = outcome(reconstruction.triple_from_mixed, triple, spectra, vectors)
+        want = outcome(triple_from_mixed_ref, triple, spectra, vectors)
+        assert same_bits(got, want) if isinstance(want, np.ndarray) else got == want

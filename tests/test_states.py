@@ -97,6 +97,15 @@ class TestGeneratorBasis:
         ])
         assert np.array_equal(basis.generators, pauli)
 
+    @pytest.mark.parametrize("d", [2.7, 2.0, "3", np.float64(3), None])
+    def test_rejects_non_integer_d(self, d):
+        with pytest.raises(ShapeMismatch, match="needs an integer d"):
+            q.generator_basis(d)
+
+    def test_numpy_integer_d_shares_the_cached_basis(self):
+        assert q.generator_basis(np.int64(3)) is q.generator_basis(3)
+        assert q.generator_basis(np.int32(2)) is q.generator_basis(2)
+
     def test_qubit_structure_constants(self):
         c = q.generator_basis(2).structure_constants
         eps = np.zeros((3, 3, 3))
