@@ -17,7 +17,6 @@ back with ``generic = False``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,9 @@ KLEIN = (
     np.diag([-1.0, -1.0, 1.0]),
 )
 _KLEIN_DIAGONALS = tuple(tuple(np.diag(k).tolist()) for k in KLEIN)
+# The diagonals of the first and second factor of each KLEIN x KLEIN pair, in product order.
+_KLEIN_FIRST = np.repeat(_KLEIN_DIAGONALS, 4, axis=0)
+_KLEIN_SECOND = np.tile(_KLEIN_DIAGONALS, (4, 1))
 
 
 @dataclass(frozen=True)
@@ -170,32 +172,28 @@ def canonicalize2(t: BlochTensor) -> CanonicalPoint:
     The pair matrix is diagonalized by a signed SVD with both factors in
     SO(3) (any sign deficit is pushed into the last diagonal entry, so the
     diagonal is sorted by decreasing magnitude). The residual Klein x
-    Klein gauge is fixed by exhaustively minimizing the lexicographic key
-    (sign pattern of alpha, of beta, of the diagonal), ties broken by
-    element order.
+    Klein gauge is fixed by the exhaustive lexicographic minimum of the
+    key (sign pattern of alpha, of beta, of the diagonal) over all 16
+    elements, the first in element order on ties.
     """
     if t.n != 2:
         raise UnsupportedShape(f"canonicalize2 needs n=2, got n={t.n}")
     u, s, vt = np.linalg.svd(t.pair_12)
     du = float(np.sign(np.linalg.det(u))) or 1.0
     dv = float(np.sign(np.linalg.det(vt))) or 1.0
-    o1 = u @ np.diag([1.0, 1.0, du])
-    o2 = vt.T @ np.diag([1.0, 1.0, dv])
-    base_rot = RotationTriple((o1.T, o2.T))
-    base = transform_bloch(t, base_rot)
-
-    tol = KLEIN_SIGN_RTOL * (1.0 + base.max_abs())
-    sa, sb, sd = (np.array(_signs(v, tol)) for v in (base.alpha, base.beta, np.diag(base.pair_12)))
-
-    def key(pair):
-        # Klein elements flip signs exactly, so each candidate's sign
-        # pattern is a product of base signs and diagonal entries.
-        s1, s2 = np.diag(pair[0]), np.diag(pair[1])
-        return tuple(np.concatenate([s1 * sa, s2 * sb, s1 * s2 * sd]))
-
-    # min keeps the first of equal keys, as the element order requires.
-    k1, k2 = min(itertools.product(KLEIN, KLEIN), key=key)
-    gauge = RotationTriple((k1 @ base_rot.mats[0], k2 @ base_rot.mats[1]))
+    # C-ordered copies, as RotationTriple holds them, so the SVD point's
+    # blocks below carry transform_bloch's bits.
+    r1 = np.array((u @ np.diag([1.0, 1.0, du])).T)
+    r2 = np.array((vt.T @ np.diag([1.0, 1.0, dv])).T)
+    alpha, beta, pair = r1 @ t.alpha, r2 @ t.beta, r1 @ t.pair_12 @ r2.T
+    tol = KLEIN_SIGN_RTOL * (1.0 + float(np.abs(np.concatenate((alpha, beta, pair), axis=None)).max()))
+    sa, sb, sd = (np.array(_signs(v, tol)) for v in (alpha, beta, np.diag(pair)))
+    # Klein elements flip signs exactly, so row 4i + j holds the key of
+    # (KLEIN[i], KLEIN[j]). lexsort is stable and sorts by its last key
+    # first, so its [0] is the first smallest key.
+    keys = np.hstack((_KLEIN_FIRST * sa, _KLEIN_SECOND * sb, _KLEIN_FIRST * _KLEIN_SECOND * sd))
+    best = int(np.lexsort(keys.T[::-1])[0])
+    gauge = RotationTriple((KLEIN[best // 4] @ r1, KLEIN[best % 4] @ r2))
     canonical = transform_bloch(t, gauge)
     g = gram(canonical)
     report = _report_from_gram(g, [canonical.alpha, canonical.beta])

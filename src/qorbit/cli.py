@@ -82,14 +82,17 @@ def _tol_arg(text: str) -> float:
     raise argparse.ArgumentTypeError(f"--tol expects a finite number >= 0, got {text!r}")
 
 
-def _restarts_arg(text: str) -> int:
-    try:
-        restarts = int(text)
-        if restarts >= 1:
-            return restarts
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"--restarts expects an integer >= 1, got {text!r}")
+def _int_arg(option: str, low: int):
+    """An argparse type taking an integer >= ``low``; its error names ``option``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{option} expects an integer >= {low}, got {text!r}")
+    return parse
 
 
 @functools.cache
@@ -102,8 +105,6 @@ def build_parser() -> _Parser:
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=_tol_arg, default=None,
                      help="override the comparison / rank tolerance")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0, help="random seed")
 
     parser = _Parser(prog="qorbit",
                      description="local-unitary orbit toolkit for multi-particle density matrices")
@@ -116,8 +117,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("invariants", parents=[common],
                        help="polynomial invariant fingerprint of a state")
     p.add_argument("state", help="state file")
-    p.add_argument("--set", choices=("minimal", "full"), default="full",
-                   help="two-qubit family: the minimal ten or all members")
+    p.add_argument("--set", choices=("minimal", "full"), default=None,
+                   help="two-qubit family: the minimal ten or all members (default full)")
 
     p = sub.add_parser("canonical", parents=[common],
                        help="canonical point of a 2- or 3-qubit orbit")
@@ -127,13 +128,14 @@ def build_parser() -> _Parser:
                        help="rebuild the canonical point from a 3-qubit invariant file")
     p.add_argument("invariants", help="invariant file")
 
-    p = sub.add_parser("equiv", parents=[common, tol, seed],
+    p = sub.add_parser("equiv", parents=[common, tol],
                        help="decide local-unitary equivalence of two states")
+    p.add_argument("--seed", type=_int_arg("--seed", 0), default=None, help="oracle seed (default 0)")
     p.add_argument("state1")
     p.add_argument("state2")
     p.add_argument("--oracle", action="store_true",
                    help="also run the optimization oracle")
-    p.add_argument("--restarts", type=_restarts_arg, default=20,
+    p.add_argument("--restarts", type=_int_arg("--restarts", 1), default=None,
                    help="oracle restarts (default 20)")
 
     p = sub.add_parser("orbit-dim", parents=[common, tol],
@@ -143,13 +145,14 @@ def build_parser() -> _Parser:
     group.add_argument("--random", action="store_true", help="use a seeded random state")
     p.add_argument("--dims", type=_dims_arg, help="system shape, e.g. 2,2,2")
     p.add_argument("--rank", type=int, default=None, help="rank of the random state")
-    p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
+    p.add_argument("--seed", type=_int_arg("--seed", 0), default=None, help="random seed (default 0)")
 
     p = sub.add_parser("count", parents=[common],
                        help="closed-form count of non-local parameters")
     p.add_argument("--dims", type=_dims_arg, required=True, help="system shape, e.g. 2,2,2")
 
-    p = sub.add_parser("random", parents=[common, seed], help="write a seeded random state")
+    p = sub.add_parser("random", parents=[common], help="write a seeded random state")
+    p.add_argument("--seed", type=_int_arg("--seed", 0), default=0, help="random seed")
     p.add_argument("--dims", type=_dims_arg, required=True)
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("-o", "--output", required=True, help="output state file")
@@ -176,6 +179,8 @@ def _cmd_expand(args, out, err) -> int:
 
 def _cmd_invariants(args, out, err) -> int:
     tensor = expand(read_state(args.state))
+    if args.set is not None and tensor.n != 2:
+        raise _UsageError(f"--set goes with two-qubit states, not n={tensor.n}")
     if tensor.n == 1:
         res = invariant1(tensor)
         payload = {
@@ -226,6 +231,8 @@ def _cmd_reconstruct(args, out, err) -> int:
 
 
 def _cmd_equiv(args, out, err) -> int:
+    if not args.oracle and (args.seed is not None or args.restarts is not None):
+        raise _UsageError("--seed and --restarts go with --oracle")
     rho1 = read_state(args.state1)
     rho2 = read_state(args.state2)
     verdict = decide(rho1, rho2, rtol=args.tol if args.tol is not None else COMPARE_RTOL)
@@ -238,7 +245,7 @@ def _cmd_equiv(args, out, err) -> int:
     else:
         lines.append(f"witness: {w.name} (difference {w.difference:.3e})")
     if args.oracle:
-        oracle = oracle_search(rho1, rho2, restarts=args.restarts, seed=args.seed,
+        oracle = oracle_search(rho1, rho2, restarts=args.restarts or 20, seed=args.seed or 0,
                                stop_residual=ORACLE_STOP_RESIDUAL)
         payload["oracle"] = {
             "residual": oracle.residual,

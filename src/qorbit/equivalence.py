@@ -36,7 +36,7 @@ from .invariants import (
     invariants3,
 )
 from .local_action import LocalUnitary
-from .states import DensityMatrix
+from .states import DensityMatrix, _rng
 from .tolerances import (
     CANONICAL_TOL, COMPARE_RTOL, IDENTICAL_TOL, ORACLE_GTOL, SPECTRUM_TOL, SU2_SERIES_ANGLE,
 )
@@ -198,7 +198,7 @@ def oracle_search(
     n = _check_pair(rho1, rho2)
     m1 = rho1.matrix
     m2 = rho2.matrix
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
 
     def objective(params: np.ndarray) -> float:
         full = _su2(params[0:3])

@@ -18,7 +18,7 @@ from .errors import (
     NotSpecialUnitary,
     ShapeMismatch,
 )
-from .states import DensityMatrix, SystemShape
+from .states import DensityMatrix, SystemShape, _rng
 from .tolerances import LIFT_BRANCH_TOL, SPECIAL_TOL, UNITARITY_TOL
 
 
@@ -109,7 +109,7 @@ def haar_local(shape: SystemShape, seed: int = 0) -> LocalUnitary:
     diagonal (which makes the draw Haar). Qubit factors are rescaled to
     determinant one.
     """
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     factors = []
     for d in shape.dims:
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

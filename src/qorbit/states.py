@@ -153,6 +153,16 @@ def maximally_mixed(shape: SystemShape) -> DensityMatrix:
     return DensityMatrix(shape, np.eye(d, dtype=complex) / d)
 
 
+def _rng(seed) -> np.random.Generator:
+    """The generator of an integer seed >= 0 (numpy integers included); any other seed raises."""
+    try:
+        if operator.index(seed) >= 0:
+            return np.random.default_rng(operator.index(seed))
+    except TypeError:
+        pass
+    raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def random_state(shape: SystemShape, rank: int | None = None, seed: int = 0) -> DensityMatrix:
     """Draw a random density matrix of the given rank.
 
@@ -169,7 +179,7 @@ def random_state(shape: SystemShape, rank: int | None = None, seed: int = 0) -> 
         raise BadRank(f"rank must be an integer, got {rank!r}") from None
     if not 1 <= rank <= d:
         raise BadRank(f"rank must lie in [1, {d}], got {rank}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     a = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
     m = a @ a.conj().T
     m /= np.trace(m).real

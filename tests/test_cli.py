@@ -127,6 +127,20 @@ class TestInvariants:
         assert "factor of 2" in out
         assert "tr(rho^2)" in out
 
+    @pytest.mark.parametrize("dims", [(2,), (2, 2, 2)])
+    @pytest.mark.parametrize("family", ["minimal", "full"])
+    def test_set_is_usage_error_beyond_two_qubits(self, tmp_path, dims, family):
+        path = tmp_path / "state.json"
+        q.write_state(q.random_state(q.SystemShape(dims), seed=9), path)
+        code, out, err = invoke("invariants", str(path), "--set", family)
+        assert code == 3
+        assert out == "" and f"--set goes with two-qubit states, not n={len(dims)}" in err
+
+    def test_two_qubit_full_set_is_the_default(self, tmp_path):
+        path = tmp_path / "two.json"
+        q.write_state(q.random_state(q.SystemShape((2, 2)), seed=8), path)
+        assert invoke("invariants", str(path), "--set", "full") == invoke("invariants", str(path))
+
 
 class TestCanonicalAndReconstruct:
     def test_canonical_payload(self, state_file):
@@ -457,8 +471,40 @@ class TestOptionsWhereRead:
         code, out, _ = invoke("random", "--dims", "2,2", "-o", str(tmp_path / "r.json"), "--json")
         assert code == 0 and json.loads(out)["seed"] == 0
 
+    @pytest.mark.parametrize("seed", ["-1", "-3", "2.5", "x", ""])
+    def test_bad_seed_is_usage_error(self, state_file, tmp_path, seed):
+        argvs = [
+            ("equiv", state_file, state_file, "--oracle"),
+            ("random", "--dims", "2,2", "-o", str(tmp_path / "r.json")),
+            ("orbit-dim", "--random", "--dims", "2,2"),
+        ]
+        for argv in argvs:
+            for option in (("--seed", seed), (f"--seed={seed}",)):
+                code, out, err = invoke(*argv, *option)
+                assert code == 3, (argv, option)
+                assert out == "" and "--seed expects an integer >= 0" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("extra", [("--seed", "0"), ("--seed", "4"), ("--restarts", "5"),
+                                       ("--seed", "1", "--restarts", "2")])
+    def test_equiv_oracle_options_need_oracle(self, pair_files, extra):
+        code, out, err = invoke("equiv", *pair_files, *extra)
+        assert code == 3
+        assert out == "" and "--seed and --restarts go with --oracle" in err
+
+    def test_equiv_oracle_seed_defaults_to_zero(self, tmp_path):
+        shape = q.SystemShape((2, 2))
+        rho = q.random_state(shape, seed=6)
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        q.write_state(rho, p1)
+        q.write_state(q.apply(q.haar_local(shape, seed=7), rho), p2)
+        equiv = ("equiv", str(p1), str(p2), "--oracle", "--restarts", "2", "--json")
+        default = invoke(*equiv)
+        assert default[0] == 0 and "oracle" in json.loads(default[1])
+        assert default == invoke(*equiv, "--seed", "0")
+
     def test_options_still_read_where_used(self, pair_files, tmp_path):
         out = str(tmp_path / "r.json")
-        assert invoke("equiv", *pair_files, "--tol", "1e-6", "--seed", "2")[0] == 0
+        assert invoke("equiv", *pair_files, "--tol", "1e-6", "--oracle", "--restarts", "1", "--seed", "2")[0] == 0
         assert invoke("orbit-dim", "--random", "--dims", "2,2", "--tol", "1e-6", "--seed", "2")[0] == 0
         assert invoke("random", "--dims", "2,2", "--seed", "2", "-o", out)[0] == 0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,36 @@ def on_orbit_pair(dims, state_seed, unitary_seed):
     shape = q.SystemShape(dims)
     rho = q.random_state(shape, seed=state_seed)
     return rho, q.apply(q.haar_local(shape, seed=unitary_seed), rho)
+
+
+def permute_qubits(rho, order):
+    """rho with its qubits reordered: qubit k of the result is qubit order[k] of rho."""
+    n = rho.shape.n
+    m = rho.matrix.reshape((2,) * (2 * n)).transpose(*order, *(n + k for k in order))
+    return q.DensityMatrix(rho.shape, m.reshape(2**n, 2**n))
+
+
+def pair_of_kind(kind, n, seed):
+    """Two n-qubit states related as ``kind`` says."""
+    shape = q.SystemShape((2,) * n)
+    d = 2**n
+    rho = q.random_state(shape, seed=seed)
+    if kind == "on-orbit":
+        return rho, q.apply(q.haar_local(shape, seed=seed + 1), rho)
+    if kind.startswith("depolarized"):
+        p = float(kind.split()[1])
+        sigma = q.apply(q.haar_local(shape, seed=seed + 1), rho)
+        return tuple(q.DensityMatrix(shape, (1.0 - p) * np.eye(d) / d + p * x.matrix) for x in (rho, sigma))
+    if kind == "isospectral":
+        rng = np.random.default_rng(seed + 1)
+        v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        return rho, q.DensityMatrix(shape, v @ rho.matrix @ v.conj().T)
+    if kind == "mirror":
+        return rho, q.DensityMatrix(shape, rho.matrix.conj())
+    return rho, q.random_state(shape, rank=1 + seed % d, seed=seed + 1)
+
+
+PAIR_KINDS = ["on-orbit", "depolarized 0.3", "depolarized 0.01", "isospectral", "mirror", "random"]
 
 
 class TestDecide:
@@ -74,6 +106,16 @@ class TestDecide:
         rho3 = q.random_state(q.SystemShape((2, 2, 2)), seed=500 + seed)
         assert q.decide(rho1, rho3).verdict == q.decide(rho3, rho1).verdict
 
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [30, 40, 50])
+    def test_covariant_under_qubit_permutation(self, kind, n, seed):
+        rho1, rho2 = pair_of_kind(kind, n, seed)
+        verdict = q.decide(rho1, rho2).verdict
+        for order in itertools.permutations(range(n)):
+            moved = q.decide(permute_qubits(rho1, order), permute_qubits(rho2, order))
+            assert moved.verdict == verdict, order
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             q.decide(
@@ -118,6 +160,19 @@ class TestOracleSearch:
         rho = q.random_state(q.SystemShape((2, 2)), seed=20)
         with pytest.raises(q.ValidationError, match="must be an integer"):
             q.oracle_search(rho, rho, restarts=restarts)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None, np.float64(3)])
+    def test_bad_seed_refused(self, seed):
+        rho = q.random_state(q.SystemShape((2, 2)), seed=20)
+        with pytest.raises(q.ValidationError, match="seed must be"):
+            q.oracle_search(rho, rho, restarts=2, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        rho1, rho2 = on_orbit_pair((2, 2), 22, 122)
+        a = q.oracle_search(rho1, rho2, restarts=2, seed=np.int32(4))
+        b = q.oracle_search(rho1, rho2, restarts=2, seed=4)
+        assert a.residual == b.residual
+        assert all(np.array_equal(x, y) for x, y in zip(a.unitary.factors, b.unitary.factors))
 
     def test_numpy_integer_restarts(self):
         rho = q.random_state(q.SystemShape((2, 2)), seed=20)

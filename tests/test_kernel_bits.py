@@ -9,6 +9,8 @@ sums the Pauli words in another order than the per-component loop, so it
 is held to one rounding (2.2e-16) there and compared bit for bit at n = 1.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,12 @@ from hypothesis import strategies as st
 import qorbit as q
 from qorbit import bloch, invariants, reconstruction
 from qorbit.bloch import BlochTensor, _component_words
-from qorbit.canonical import KLEIN, CanonicalPoint, _report_from_gram, _uniform_sign_element, genericity
+from qorbit.canonical import (
+    KLEIN, KLEIN_SIGN_RTOL, CanonicalPoint, _report_from_gram, _signs, _uniform_sign_element, genericity,
+)
 from qorbit.errors import ConstraintViolation, NotSpecialOrthogonal, NumericalError, ShapeMismatch, ToolkitError
 from qorbit.invariants import GRAM_PSD_TOL, _gram_mats, _sign_invariant, _triple_product
-from qorbit.local_action import UNITARITY_TOL, RotationTriple
+from qorbit.local_action import UNITARITY_TOL, RotationTriple, transform_bloch
 from qorbit.reconstruction import (
     DIAGONALITY_RTOL, SIGN_INVARIANT_TOL, VandermondeSystem, _inverse_factor, spectra_from_traces,
     vector_from_quadratics,
@@ -126,6 +130,29 @@ def uniform_sign_element_ref(vec):
         if all(v == nonzero[0] for v in nonzero) if nonzero else True:
             return k
     raise AssertionError("unreachable")
+
+
+def canonicalize2_ref(t):
+    """The SVD point built as a tensor, then 16 candidate keys scored by min."""
+    u, s, vt = np.linalg.svd(t.pair_12)
+    du = float(np.sign(np.linalg.det(u))) or 1.0
+    dv = float(np.sign(np.linalg.det(vt))) or 1.0
+    o1 = u @ np.diag([1.0, 1.0, du])
+    o2 = vt.T @ np.diag([1.0, 1.0, dv])
+    base_rot = RotationTriple((o1.T, o2.T))
+    base = transform_bloch(t, base_rot)
+    tol = KLEIN_SIGN_RTOL * (1.0 + base.max_abs())
+    sa, sb, sd = (np.array(_signs(v, tol)) for v in (base.alpha, base.beta, np.diag(base.pair_12)))
+
+    def key(pair):
+        s1, s2 = np.diag(pair[0]), np.diag(pair[1])
+        return tuple(np.concatenate([s1 * sa, s2 * sb, s1 * s2 * sd]))
+
+    k1, k2 = min(itertools.product(KLEIN, KLEIN), key=key)
+    gauge = RotationTriple((k1 @ base_rot.mats[0], k2 @ base_rot.mats[1]))
+    canonical = transform_bloch(t, gauge)
+    report = _report_from_gram(invariants.gram(canonical), [canonical.alpha, canonical.beta])
+    return CanonicalPoint(tensor=canonical, gauge=gauge, report=report)
 
 
 def expand_ref(rho):
@@ -308,11 +335,44 @@ def outcome(fn, *args):
 
 
 def same_point(got, want) -> bool:
+    """The same error, or the same tensor and gauge bytes and the same report repr."""
     if not isinstance(want, CanonicalPoint):
         return got == want
-    return (isinstance(got, CanonicalPoint) and got.report == want.report
-            and all(same_bits(a, b) for (_, a), (_, b) in zip(got.tensor.component_items(),
-                                                               want.tensor.component_items())))
+    return (isinstance(got, CanonicalPoint) and repr(got.report) == repr(want.report)
+            and same_bits(got.tensor.flatten(), want.tensor.flatten())
+            and len(got.gauge.mats) == len(want.gauge.mats)
+            and all(same_bits(a, b) for a, b in zip(got.gauge.mats, want.gauge.mats)))
+
+
+def two_qubit_cases() -> dict:
+    """Tensors whose Klein keys tie: zero vector components, no vectors, low-rank pairs."""
+    rng = np.random.default_rng(11)
+    a, b, pair = rng.standard_normal(3), rng.standard_normal(3), rng.standard_normal((3, 3))
+    u, s, vt = np.linalg.svd(pair)
+    zero = np.zeros(3)
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    shape = q.SystemShape((2, 2))
+    cases = {
+        "zero tensor": (zero, zero, np.zeros((3, 3))),
+        "no vectors": (zero, zero, pair),
+        "no vectors, det < 0": (zero, zero, -pair),
+        "rank-2 pair": (a, b, u @ np.diag([s[0], s[1], 0.0]) @ vt),
+        "rank-2 pair, no vectors": (zero, zero, u @ np.diag([s[0], s[1], 0.0]) @ vt),
+        "rank-1 pair": (a, b, np.outer(a, b)),
+        "rank-1 pair, no vectors": (zero, zero, np.outer(a, b)),
+        "diagonal pair, zero components": ([0.5, 0.0, -0.2], [0.0, 0.0, 0.3], np.diag([3.0, 2.0, 1.0])),
+        "diagonal pair, signed zeros": ([-0.0, 0.25, 0.0], [0.0, -0.0, -0.5], np.diag([-3.0, 2.0, -1.0])),
+        "identity pair, one vector": ([0.0, 0.0, 0.1], zero, np.eye(3)),
+    }
+    tensors_ = {name: BlochTensor(n=2, alpha=np.array(x, dtype=float), beta=np.array(y, dtype=float),
+                                  pair_12=p) for name, (x, y, p) in cases.items()}
+    tensors_["bell state"] = q.expand(q.DensityMatrix(shape, np.outer(bell, bell)))
+    tensors_["product state"] = q.expand(q.DensityMatrix(shape, np.diag([1.0, 0.0, 0.0, 0.0])))
+    tensors_["maximally mixed"] = q.expand(q.maximally_mixed(shape))
+    return tensors_
+
+
+TWO_QUBIT_CASES = two_qubit_cases()
 
 
 # ---------------------------------------------------------------- tests
@@ -406,6 +466,18 @@ class TestCanonicalKernels:
         for got, want in ((report.eigengaps, ref["gaps"]), (report.gram_traces, ref["traces"]),
                           (report.min_components, ref["mins"]), (report.sign_invariants, ref["signs"])):
             assert same_bits(np.array(got[:t.n], dtype=float), np.array(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(tensors(2), states(2).map(q.expand)))
+    def test_canonicalize2(self, t):
+        assert same_point(outcome(q.canonicalize2, t), outcome(canonicalize2_ref, t))
+
+    @pytest.mark.parametrize("name", list(TWO_QUBIT_CASES))
+    def test_canonicalize2_ties_and_zeros(self, name):
+        t = TWO_QUBIT_CASES[name]
+        got, want = outcome(q.canonicalize2, t), outcome(canonicalize2_ref, t)
+        assert isinstance(want, CanonicalPoint)
+        assert same_point(got, want)
 
     def test_trace_keeps_np_sum_signed_zero(self):
         g = invariants.GramTriple(n=2, mats=(), spectra=(np.array([-0.0, -0.0, -0.0]),) * 2,

@@ -65,6 +65,17 @@ class TestHaarLocal:
         b = q.haar_local(q.SystemShape((2,)), seed=10)
         assert np.max(np.abs(a.factors[0] - b.factors[0])) > 1e-3
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None, np.float64(3)])
+    def test_bad_seed(self, seed):
+        with pytest.raises(q.ValidationError, match="seed must be"):
+            q.haar_local(q.SystemShape((2, 2)), seed=seed)
+
+    def test_numpy_integer_seed(self):
+        a = q.haar_local(q.SystemShape((2, 2)), seed=np.uint8(8))
+        b = q.haar_local(q.SystemShape((2, 2)), seed=8)
+        for fa, fb in zip(a.factors, b.factors):
+            assert np.array_equal(fa, fb)
+
 
 class TestAdjointRotation:
     def test_identity(self):

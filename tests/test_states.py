@@ -207,6 +207,16 @@ class TestRandomState:
         rho = q.random_state(shape, rank=np.int64(2), seed=0)
         assert np.array_equal(rho.matrix, q.random_state(shape, rank=2, seed=0).matrix)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", None, np.float64(3)])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed must be"):
+            q.random_state(q.SystemShape((2, 2)), seed=seed)
+
+    def test_numpy_integer_seed(self):
+        shape = q.SystemShape((2, 2))
+        rho = q.random_state(shape, seed=np.int64(3))
+        assert np.array_equal(rho.matrix, q.random_state(shape, seed=3).matrix)
+
 
 class TestSpectrum:
     """Validation's eigendecomposition is the one ``eigenvalues`` returns."""
