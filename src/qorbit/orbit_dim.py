@@ -9,29 +9,40 @@ equals prod(d_r^2) - sum(d_r^2) + n - 1 at generic states.
 
 No D x D embedded generator is formed: a site generator t acts on rho by
 contracting it into the site's index, rows for h.rho and columns for
-rho.h, at O(D^2 d) per generator, and each commutator is written straight
-into the preallocated frame. The singular values come from a tall-skinny
-QR of the transposed frame, one column block at a time, followed by the
-SVD of the small triangular factor; the frame's Gram matrix is never
-formed, since its eigenvalues would square the rank threshold below
-machine precision. Frames larger than ``_MAX_FRAME_BYTES`` are refused with
-``UnsupportedShape`` before any work is done.
+rho.h, at O(D^2 d) per generator. ``tangent_frame`` writes each commutator
+straight into the preallocated frame. The singular values come from a
+tall-skinny QR of the transposed frame, one column block at a time,
+followed by the SVD of the small triangular factor; the frame's Gram
+matrix is never formed, since its eigenvalues would square the rank
+threshold below machine precision. Frames larger than ``_MAX_FRAME_BYTES``
+are refused with ``UnsupportedShape`` before any work is done.
 
 The QR runs on D^2 folded columns, not the frame's 2 D^2. A row is the
 Hermitian X = i[h, rho], whose real part S is symmetric and imaginary part
 T antisymmetric; symmetric and antisymmetric matrices are orthogonal under
 the Frobenius inner product, so <S_a + T_a, S_b + T_b> = <S_a, S_b> +
 <T_a, T_b> and the folded rows S + T have the frame's Gram matrix, hence
-its singular values, at half the QR work. Each block is folded into the
-buffer that holds the running factor, so no D^2-wide array is allocated.
+its singular values, at half the QR work.
 A validated rho is Hermitian only to ``HERMITICITY_RTOL``, so <S, T> is not
 exactly zero: for a state at that tolerance the singular values move by up to
 about 1e-12 of the largest, far below ``RANK_RTOL``.
+
+``orbit_dimension`` never materializes the frame. It computes the
+commutators over blocks of whole rows of rho, at most ``_STREAM_ENTRIES``
+entries each, folds each block into a k x block buffer for the k frame
+rows, and feeds the running factor the same ``_QR_BLOCK``-column pieces as
+a pass over the whole frame would, carrying a piece that spans two blocks.
+Its memory is O(k 2^16 + D^2) rather than the frame's 2 k D^2, and its
+singular values are bit for bit those of ranking the materialized frame.
+A block's row count is a product of trailing site dimensions, so for
+every site the block either holds whole groups of the site's row index or
+lies inside one of them, where h.rho reads only the site's d slabs of rho.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +51,14 @@ from .errors import UnsupportedShape, ValidationError
 from .states import DensityMatrix, SystemShape, generator_basis
 from .tolerances import RANK_RTOL
 
-# Largest tangent frame built, in bytes: sum(d_r^2 - 1) rows of 2 D^2
-# float64 entries. Ten qubits (503 MB) fit; eleven (2.2 GB) do not.
+# The shape limit: the largest tangent frame, in bytes, sum(d_r^2 - 1) rows
+# of 2 D^2 float64 entries. Ten qubits (503 MB) fit; eleven (2.2 GB) do not.
+# orbit_dimension streams the frame but refuses the same shapes.
 _MAX_FRAME_BYTES = 2**30
 # Frame columns folded into the running triangular factor per QR call.
 _QR_BLOCK = 4096
+# Most entries of rho whose commutators orbit_dimension computes at once.
+_STREAM_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -88,31 +102,63 @@ def _contract(t: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
             dst[:, p, :] += src[:, q, :] * row[q]
 
 
-def tangent_frame(rho: DensityMatrix) -> TangentFrame:
-    """One tangent vector per su(d_r) generator per site, site-major."""
-    _check_frame_size(rho.shape)
-    dims = rho.shape.dims
-    d_total = rho.shape.total_dim
-    m = rho.matrix
-    k = sum(d * d - 1 for d in dims)
-    out = np.empty((k, 2, d_total, d_total))
-    hm = np.empty((d_total, d_total), dtype=complex)
-    mh = np.empty((d_total, d_total), dtype=complex)
-    row = 0
+def _stream_rows(dims: tuple[int, ...]) -> int:
+    """Rows of rho per stream block: the largest product of trailing site
+    dimensions whose rows hold at most ``_STREAM_ENTRIES`` entries (at least 1)."""
+    d_total = math.prod(dims)
+    for s in range(len(dims)):
+        rows = math.prod(dims[s:])
+        if rows * d_total <= _STREAM_ENTRIES:
+            return rows
+    return 1
+
+
+def _commutators(m: np.ndarray, dims: tuple[int, ...], start: int,
+                 stop: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (h.rho, rho.h) over rows [start, stop) of rho for each site
+    generator h, site-major; the same two arrays are overwritten each time.
+
+    The row count must be a product of trailing site dimensions and
+    ``start`` a multiple of it. For each site the block then either holds
+    whole groups of the site's row index, contracted in place, or lies in
+    one (before, p) slab of it, whose row of h.rho reads the site's d
+    source slabs of rho.
+    """
+    d_total = m.shape[0]
+    n_rows = stop - start
+    block = m[start:stop]
+    hm = np.empty((n_rows, d_total), dtype=complex)
+    mh = np.empty((n_rows, d_total), dtype=complex)
     for site, d in enumerate(dims):
         before = math.prod(dims[:site])
         after = math.prod(dims[site + 1:])
         # h = 1_before x t x 1_after acts on the site's row index of rho in
         # h.rho and, through t^T, on its column index in rho.h.
-        rows = (before, d, after * d_total)
-        cols = (d_total * before, d, after)
+        cols = (n_rows * before, d, after)
+        if n_rows % (d * after) == 0:
+            rows = (n_rows // (d * after), d, after * d_total)
+            src, dst, p = block.reshape(rows), hm.reshape(rows), slice(None)
+        else:
+            x, offset = divmod(start, d * after)
+            q, a = divmod(offset, after)
+            src = m.reshape(before, d, after * d_total)[x:x + 1, :, a * d_total:(a + n_rows) * d_total]
+            dst, p = hm.reshape(1, 1, n_rows * d_total), slice(q, q + 1)
         for t in generator_basis(d).generators:
-            _contract(t, m.reshape(rows), hm.reshape(rows))
-            _contract(t.T, m.reshape(cols), mh.reshape(cols))
-            # i(h.rho - rho.h): real part Im(rho.h - h.rho), imaginary part Re(h.rho - rho.h)
-            np.subtract(mh.imag, hm.imag, out=out[row, 0])
-            np.subtract(hm.real, mh.real, out=out[row, 1])
-            row += 1
+            _contract(t[p], src, dst)
+            _contract(t.T, block.reshape(cols), mh.reshape(cols))
+            yield hm, mh
+
+
+def tangent_frame(rho: DensityMatrix) -> TangentFrame:
+    """One tangent vector per su(d_r) generator per site, site-major."""
+    _check_frame_size(rho.shape)
+    d_total = rho.shape.total_dim
+    k = sum(d * d - 1 for d in rho.shape.dims)
+    out = np.empty((k, 2, d_total, d_total))
+    for row, (hm, mh) in enumerate(_commutators(rho.matrix, rho.shape.dims, 0, d_total)):
+        # i(h.rho - rho.h): real part Im(rho.h - h.rho), imaginary part Re(h.rho - rho.h)
+        np.subtract(mh.imag, hm.imag, out=out[row, 0])
+        np.subtract(hm.real, mh.real, out=out[row, 1])
     vectors = out.reshape(k, 2 * d_total * d_total)
     vectors.setflags(write=False)
     return TangentFrame(base=rho, vectors=vectors)
@@ -127,22 +173,40 @@ def orbit_dimension(rho: DensityMatrix, tol: float = RANK_RTOL) -> OrbitDimensio
     """
     if not (math.isfinite(tol) and 0.0 <= tol < 1.0):
         raise ValidationError(f"rank tolerance must be finite and in [0, 1), got {tol!r}")
-    vectors = tangent_frame(rho).vectors
-    k = vectors.shape[0]
-    half = vectors.shape[1] // 2
-    real, imag = vectors[:, :half], vectors[:, half:]
-    # Rows [0, rows) hold the running triangular factor; each folded block
-    # is written below it. Column-major, so each frame row lands in one
-    # contiguous column and LAPACK reads the buffer in its own order.
+    _check_frame_size(rho.shape)
+    dims = rho.shape.dims
+    d_total = rho.shape.total_dim
+    k = sum(d * d - 1 for d in dims)
+    n_rows = _stream_rows(dims)
+    width = n_rows * d_total
+    folded = np.empty((k, n_rows, d_total))
+    imag = np.empty((n_rows, d_total))
+    # Rows [0, rows) hold the running triangular factor and rows [rows,
+    # rows + filled) the part of the current piece streamed so far. Pieces
+    # are the folded columns [j, j + _QR_BLOCK) for j a multiple of
+    # _QR_BLOCK, whatever the stream blocks are. Column-major, so each
+    # folded row lands in one contiguous column and LAPACK reads the buffer
+    # in its own order.
     buf = np.empty((k + _QR_BLOCK, k), order="F")
-    rows = 0
-    for start in range(0, half, _QR_BLOCK):
-        stop = min(start + _QR_BLOCK, half)
-        end = rows + stop - start
-        np.add(real[:, start:stop].T, imag[:, start:stop].T, out=buf[rows:end])
-        r = np.linalg.qr(buf[:end], mode="r")
-        rows = r.shape[0]
-        buf[:rows] = r
+    columns = folded.reshape(k, width)
+    rows = filled = 0
+    for start in range(0, d_total, n_rows):
+        for g, (hm, mh) in enumerate(_commutators(rho.matrix, dims, start, start + n_rows)):
+            # The real plus the imaginary half of the frame row, as tangent_frame writes them.
+            np.subtract(mh.imag, hm.imag, out=folded[g])
+            np.subtract(hm.real, mh.real, out=imag)
+            folded[g] += imag
+        last = start + n_rows == d_total
+        pos = 0
+        while pos < width:
+            take = min(_QR_BLOCK - filled, width - pos)
+            buf[rows + filled:rows + filled + take] = columns[:, pos:pos + take].T
+            filled += take
+            pos += take
+            if filled == _QR_BLOCK or (last and pos == width):
+                r = np.linalg.qr(buf[:rows + filled], mode="r")
+                rows, filled = r.shape[0], 0
+                buf[:rows] = r
     s = np.linalg.svd(buf[:rows], compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
     dim = 0 if smax == 0.0 else int(np.sum(s > tol * smax))

@@ -7,6 +7,10 @@ for bit (signed zeros included), never with a tolerance. The one
 exception is ``bloch.reconstruct`` at n >= 2: its single flat tensordot
 sums the Pauli words in another order than the per-component loop, so it
 is held to one rounding (2.2e-16) there and compared bit for bit at n = 1.
+
+``orbit_dimension`` streams row blocks of rho instead of ranking the
+materialized tangent frame; its reference is the materializing version,
+and the singular values are compared bit for bit.
 """
 
 import itertools
@@ -17,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qorbit as q
-from qorbit import bloch, invariants, reconstruction
+from qorbit import bloch, invariants, orbit_dim, reconstruction
 from qorbit.bloch import BlochTensor, _component_words
 from qorbit.canonical import (
     KLEIN, KLEIN_SIGN_RTOL, CanonicalPoint, _report_from_gram, _signs, _uniform_sign_element, genericity,
@@ -25,10 +29,12 @@ from qorbit.canonical import (
 from qorbit.errors import ConstraintViolation, NotSpecialOrthogonal, NumericalError, ShapeMismatch, ToolkitError
 from qorbit.invariants import GRAM_PSD_TOL, _gram_mats, _sign_invariant, _triple_product
 from qorbit.local_action import UNITARITY_TOL, RotationTriple, transform_bloch
+from qorbit.orbit_dim import OrbitDimension
 from qorbit.reconstruction import (
     DIAGONALITY_RTOL, SIGN_INVARIANT_TOL, VandermondeSystem, _inverse_factor, spectra_from_traces,
     vector_from_quadratics,
 )
+from qorbit.tolerances import RANK_RTOL
 
 
 def same_bits(a, b) -> bool:
@@ -259,6 +265,27 @@ def reconstruct_ref(t):
         coeff = getattr(t, name)
         m = m + np.tensordot(coeff, words, axes=coeff.ndim)
     return m
+
+
+def orbit_dimension_ref(rho, tol=RANK_RTOL):
+    """Rank the materialized frame: fold each QR_BLOCK of columns into the running factor."""
+    vectors = q.tangent_frame(rho).vectors
+    k = vectors.shape[0]
+    half = vectors.shape[1] // 2
+    real, imag = vectors[:, :half], vectors[:, half:]
+    buf = np.empty((k + orbit_dim._QR_BLOCK, k), order="F")
+    rows = 0
+    for start in range(0, half, orbit_dim._QR_BLOCK):
+        stop = min(start + orbit_dim._QR_BLOCK, half)
+        end = rows + stop - start
+        np.add(real[:, start:stop].T, imag[:, start:stop].T, out=buf[rows:end])
+        r = np.linalg.qr(buf[:end], mode="r")
+        rows = r.shape[0]
+        buf[:rows] = r
+    s = np.linalg.svd(buf[:rows], compute_uv=False)
+    smax = float(s[0]) if s.size else 0.0
+    dim = 0 if smax == 0.0 else int(np.sum(s > tol * smax))
+    return OrbitDimension(dimension=dim, singular_values=s)
 
 
 # ---------------------------------------------------------------- inputs
@@ -635,3 +662,31 @@ class TestReconstruction:
         got = outcome(reconstruction.triple_from_mixed, triple, spectra, vectors)
         want = outcome(triple_from_mixed_ref, triple, spectra, vectors)
         assert same_bits(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+class TestOrbitDimension:
+    @staticmethod
+    def assert_same(rho):
+        got, want = q.orbit_dimension(rho), orbit_dimension_ref(rho)
+        assert same_bits(got.singular_values, want.singular_values)
+        assert got.dimension == want.dimension
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dims=st.lists(st.sampled_from((2, 3, 4)), min_size=1, max_size=4)
+           .filter(lambda ds: np.prod(ds) <= 64),
+           rank=st.sampled_from((1, 2, None)),
+           seed=st.integers(0, 2**31 - 1))
+    def test_matches_materialized_frame(self, dims, rank, seed):
+        self.assert_same(q.random_state(q.SystemShape(tuple(dims)), rank=rank, seed=seed))
+
+    def test_nine_qubits(self):
+        shape = q.SystemShape((2,) * 9)
+        assert orbit_dim._stream_rows(shape.dims) * shape.total_dim < shape.total_dim ** 2
+        self.assert_same(q.random_state(shape, seed=60))
+
+    def test_qr_piece_carried_across_stream_blocks(self):
+        shape = q.SystemShape((3, 3, 3, 3, 4))
+        width = orbit_dim._stream_rows(shape.dims) * shape.total_dim
+        assert shape.total_dim ** 2 > width > orbit_dim._QR_BLOCK
+        assert width % orbit_dim._QR_BLOCK != 0
+        self.assert_same(q.random_state(shape, seed=61))

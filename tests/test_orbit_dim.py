@@ -271,7 +271,7 @@ class TestFoldedRanking:
         assert assert_fold_matches_unfolded(rho).dimension == 4 * 8  # every generator moves it
 
     def test_fold_allocates_no_frame_wide_array(self):
-        rho = q.random_state(q.SystemShape((2,) * 8), seed=46)
+        rho = q.random_state(q.SystemShape((2,) * 9), seed=46)
         frame_bytes = q.tangent_frame(rho).vectors.nbytes
         q.orbit_dimension(rho)  # warm caches outside the trace
         tracemalloc.start()
@@ -280,7 +280,7 @@ class TestFoldedRanking:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - frame_bytes < frame_bytes / 4
+        assert peak < frame_bytes / 4
 
 
 class TestTolerance:

@@ -1,4 +1,4 @@
-"""Print two SHA-256 digests of qorbit's outputs on fixed-seed corpora.
+"""Print three SHA-256 digests of qorbit's outputs on fixed-seed corpora.
 
 Run it in two checkouts; equal digests mean a change kept every output
 byte of the library and CLI paths below:
@@ -14,6 +14,11 @@ error each call raised).
 stdout, stderr and exit code of ``invariants``, ``canonical`` and
 ``expand`` (each plain and ``--json``), and of ``reconstruct`` (plain and
 ``--json``) on every invariants file written with exit code 0.
+
+``orbit`` hashes, for ``orbit_dim_shapes(seed)`` with seeds 1-2, the
+``orbit_dimension`` singular-value bytes and dimension of every shape,
+and the outputs of ``orbit-dim --random --json`` on three shapes: one
+ranked in a single stream block and two streamed in several.
 
 The qorbit imported is the one under this checkout's ``src/``; the inputs
 come from ``perfbench/corpus.py``, which is only imported.
@@ -102,9 +107,23 @@ def cli_digest() -> str:
     return digest.hexdigest()
 
 
+def orbit_digest() -> str:
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        shapes = corpus.orbit_dim_shapes(seed)
+        for item, m in zip(shapes["items"], shapes["first"]):
+            result = qorbit.orbit_dimension(qorbit.DensityMatrix(qorbit.SystemShape(tuple(item["dims"])), m))
+            digest.update(f"{item['dims']} {result.dimension}\n".encode())
+            digest.update(result.singular_values.tobytes())
+    for dims in ("2,3,4", "2,2,2,2,2,2,2,2,2", "3,3,3,3,4"):
+        _cli(digest, "orbit-dim", "--random", "--dims", dims, "--seed", "1", "--json")
+    return digest.hexdigest()
+
+
 def main() -> None:
     print(f"library {library_digest()}")
     print(f"cli     {cli_digest()}")
+    print(f"orbit   {orbit_digest()}")
 
 
 if __name__ == "__main__":
