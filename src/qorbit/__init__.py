@@ -3,7 +3,8 @@
 Counts non-local parameters for arbitrary qudit systems, computes
 canonical forms and finite separating invariant families for 2- and
 3-qubit states, reconstructs canonical components from invariants alone,
-and decides local-unitary equivalence with certificates.
+and decides local-unitary equivalence, each verdict carrying a witness
+and, past the invariants, both states' genericity margins.
 """
 
 from .bloch import BlochTensor, expand, read_bloch, reconstruct, write_bloch

@@ -29,34 +29,22 @@ PAULI = np.array(
     dtype=complex,
 )
 
-# Component name -> index pattern over sites (None = identity at that site),
-# in the fixed order used by flatten().
-_COMPONENTS = {
-    1: [("alpha", (0,))],
-    2: [("alpha", (0, None)), ("beta", (None, 0)), ("pair_12", (0, 1))],
-    3: [
-        ("alpha", (0, None, None)),
-        ("beta", (None, 0, None)),
-        ("gamma", (None, None, 0)),
-        ("pair_12", (0, 1, None)),
-        ("pair_13", (0, None, 1)),
-        ("pair_23", (None, 0, 1)),
-        ("triple", (0, 1, 2)),
-    ],
-}
-# Component name -> array shape: one axis of length 3 per non-identity site.
-_SHAPES = {name: (3,) * sum(p is not None for p in pattern) for name, pattern in _COMPONENTS[3]}
-# n -> component name -> the site of each of its axes, in axis order.
+# n -> component name -> the site of each of its axes, in axis order; the
+# components are listed in the fixed order used by flatten().
 _SITES = {
-    n: {name: tuple(pattern.index(axis) for axis in range(len(_SHAPES[name]))) for name, pattern in components}
-    for n, components in _COMPONENTS.items()
+    1: {"alpha": (0,)},
+    2: {"alpha": (0,), "beta": (1,), "pair_12": (0, 1)},
+    3: {"alpha": (0,), "beta": (1,), "gamma": (2,),
+        "pair_12": (0, 1), "pair_13": (0, 2), "pair_23": (1, 2), "triple": (0, 1, 2)},
 }
+# Component name -> array shape: one axis of length 3 per site.
+_SHAPES = {name: (3,) * len(sites) for name, sites in _SITES[3].items()}
 
 
-def _components(n: int) -> list:
-    if n not in _COMPONENTS:
+def _components(n: int):
+    if n not in _SITES:
         raise UnsupportedShape(f"Bloch tensors cover 1-3 qubits, got n={n}")
-    return _COMPONENTS[n]
+    return _SITES[n].items()
 
 
 @dataclass(frozen=True)
@@ -88,7 +76,7 @@ class BlochTensor:
                 raise ShapeMismatch(f"component '{name}' not defined for n={self.n}")
 
     def component_items(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, getattr(self, name)) for name, _ in _COMPONENTS[self.n]]
+        return [(name, getattr(self, name)) for name in _SITES[self.n]]
 
     def flatten(self) -> np.ndarray:
         return np.concatenate([arr.ravel() for _, arr in self.component_items()])
@@ -126,24 +114,16 @@ def _contract(arr: np.ndarray, mats, sites: tuple) -> np.ndarray:
     return np.einsum("im,jn,kp,mnp->ijk", mats[sites[0]], mats[sites[1]], mats[sites[2]], arr)
 
 
-def _kron(*mats: np.ndarray) -> np.ndarray:
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _component_words(n: int) -> dict:
     """Stacked Pauli-word matrices per component, indexed like the component."""
     eye = np.eye(2, dtype=complex)
     words = {}
-    for name, pattern in _COMPONENTS[n]:
-        axes = sum(1 for p in pattern if p is not None)
-        stack = np.empty((3,) * axes + (2**n, 2**n), dtype=complex)
-        for idx in itertools.product(range(3), repeat=axes):
-            factors = [eye if p is None else PAULI[idx[p]] for p in pattern]
-            stack[idx] = _kron(*factors)
+    for name, sites in _SITES[n].items():
+        stack = np.empty((3,) * len(sites) + (2**n, 2**n), dtype=complex)
+        for idx in itertools.product(range(3), repeat=len(sites)):
+            paulis = dict(zip(sites, idx))
+            stack[idx] = functools.reduce(np.kron, [PAULI[paulis[s]] if s in paulis else eye for s in range(n)])
         stack.setflags(write=False)
         words[name] = stack
     return words
@@ -206,7 +186,7 @@ def bloch_from_payload(payload) -> BlochTensor:
     if isinstance(n, bool) or n not in (1, 2, 3):
         raise ParseError("field 'n' must be 1, 2, or 3")
     parts = {}
-    for name, _ in _COMPONENTS[n]:
+    for name in _SITES[n]:
         if name not in payload:
             raise ParseError(f"missing component '{name}' for n={n}")
         parts[name] = fileio.real_array(payload[name], _SHAPES[name], name)

@@ -76,6 +76,13 @@ class CanonicalPoint:
     report: GenericityReport
 
 
+def _gap_and_trace(spectrum: np.ndarray) -> tuple[float, float]:
+    """The smallest gap and the trace of a decreasing 3-spectrum."""
+    s0, s1, s2 = spectrum.tolist()
+    # np.sum's order, signed zeros included
+    return min(s0 - s1, s1 - s2), 0.0 + s0 + s1 + s2
+
+
 def _report_from_gram(g: GramTriple, vectors: list[np.ndarray]) -> GenericityReport:
     """Margins from Gram eigen data plus site vectors in eigenframe gauge."""
     n = g.n
@@ -85,10 +92,7 @@ def _report_from_gram(g: GramTriple, vectors: list[np.ndarray]) -> GenericityRep
     signs: list[float | None] = [None, None, None]
     generic = True
     for site in range(n):
-        s0, s1, s2 = g.spectra[site].tolist()
-        gaps[site] = min(s0 - s1, s1 - s2)
-        # np.sum's order, signed zeros included
-        traces[site] = 0.0 + s0 + s1 + s2
+        gaps[site], traces[site] = _gap_and_trace(g.spectra[site])
         mins[site] = min(map(abs, vectors[site].tolist()))
         signs[site] = abs(_sign_invariant(vectors[site], np.diag(g.spectra[site])))
         generic = generic and (

@@ -194,12 +194,9 @@ def _cmd_invariants(args, out, err) -> int:
             f"tr(rho^2) = {res.purity:.17g}",
             Invariant1.IDENTITY_NOTE,
         ]
-    elif tensor.n == 2:
-        payload = invariants2(tensor).payload(minimal=args.set == "minimal")
-        lines = [f"{name} = {value:.17g}"
-                 for name, value in zip(payload["names"], payload["values"])]
     else:
-        payload = invariants3(tensor).payload()
+        inv = invariants2(tensor) if tensor.n == 2 else invariants3(tensor)
+        payload = inv.payload(minimal=True) if args.set == "minimal" else inv.payload()
         lines = [f"{name} = {value:.17g}"
                  for name, value in zip(payload["names"], payload["values"])]
     _emit(args, out, err, lines, payload)

@@ -1,4 +1,4 @@
-"""Decide local-unitary equivalence of two states, with certificates.
+"""Decide local-unitary equivalence of two states, with a witness per verdict.
 
 The decision pipeline is: global spectra (cheapest witness), then the
 polynomial invariant fingerprint under a degree-aware tolerance, then the
@@ -6,15 +6,17 @@ canonical forms. Both states are canonicalized once, and their points are
 compared only when both genericity reports (which travel with the points)
 certify a generic orbit. Matching invariants on a non-generic orbit yield
 ``inconclusive`` -- the canonical construction carries no uniqueness
-guarantee there.
+guarantee there. A verdict carries its witness and those reports, not a
+local unitary mapping one state to the other.
 
-``oracle_search`` is an independent cross check: a multi-start local
-minimization of the conjugation residual over per-site special unitaries,
+``oracle_search`` is an independent cross check, run only on request
+(``decide`` never calls it): a multi-start local minimization of the conjugation residual over per-site special unitaries,
 each parametrized by a 3-vector (axis times angle).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -25,16 +27,7 @@ from scipy.optimize import minimize
 from .bloch import PAULI, expand
 from .canonical import GenericityReport, canonicalize
 from .errors import ShapeMismatch, UnsupportedShape, ValidationError
-from .invariants import (
-    DEGREES2,
-    DEGREES3,
-    NAMES2,
-    NAMES3,
-    coefficient_scale,
-    first_disagreement,
-    invariants2,
-    invariants3,
-)
+from .invariants import FAMILIES, coefficient_scale, first_disagreement
 from .local_action import LocalUnitary
 from .states import DensityMatrix, _rng
 from .tolerances import (
@@ -113,12 +106,8 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
         )
 
     t1, t2 = expand(rho1), expand(rho2)
-    if n == 3:
-        inv1, inv2 = invariants3(t1).values, invariants3(t2).values
-        names, degrees = NAMES3, DEGREES3
-    else:
-        inv1, inv2 = invariants2(t1).values, invariants2(t2).values
-        names, degrees = NAMES2, DEGREES2
+    evaluate, names, degrees = FAMILIES[n]
+    inv1, inv2 = evaluate(t1).values, evaluate(t2).values
     scale = coefficient_scale(t1, t2)
     bad = first_disagreement(inv1, inv2, degrees, scale, rtol=rtol)
     if bad is not None:
@@ -201,9 +190,7 @@ def oracle_search(
     rng = _rng(seed)
 
     def objective(params: np.ndarray) -> float:
-        full = _su2(params[0:3])
-        for site in range(1, n):
-            full = np.kron(full, _su2(params[3 * site:3 * site + 3]))
+        full = functools.reduce(np.kron, [_su2(params[3 * site:3 * site + 3]) for site in range(n)])
         delta = full @ m1 @ full.conj().T - m2
         return float(np.sum(delta.real**2 + delta.imag**2))
 

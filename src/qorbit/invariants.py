@@ -61,6 +61,13 @@ DEGREES2: tuple[int, ...] = (2, 4, 3, 2, 4, 6, 3, 5, 7, 9, 2, 4, 6, 9)
 
 MINIMAL2 = 10
 
+# n -> (evaluator, names, degrees) of the family decide compares. The evaluators look their
+# function up per call, so a wrapper set on the module attribute (perfbench's tracer) sees it.
+FAMILIES = {
+    2: (lambda t: invariants2(t), NAMES2, DEGREES2),
+    3: (lambda t: invariants3(t), NAMES3, DEGREES3),
+}
+
 
 @dataclass(frozen=True)
 class GramTriple:

@@ -8,6 +8,7 @@ lift_rotation) and applies per-site rotations to coefficient tensors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,7 @@ class LocalUnitary:
         object.__setattr__(self, "factors", tuple(factors))
 
     def full_matrix(self) -> np.ndarray:
-        out = self.factors[0]
-        for u in self.factors[1:]:
-            out = np.kron(out, u)
-        return out
+        return functools.reduce(np.kron, self.factors)
 
 
 @dataclass(frozen=True)
@@ -157,22 +155,19 @@ def lift_rotation(o) -> np.ndarray:
             margin=max(orth_dev, det_dev),
         )
     t = float(np.trace(o))
-    # Largest-component quaternion extraction for numerical stability.
-    candidates = [1.0 + t, 1.0 + 2.0 * o[0, 0] - t, 1.0 + 2.0 * o[1, 1] - t, 1.0 + 2.0 * o[2, 2] - t]
-    best = int(np.argmax(candidates))
-    q = np.empty(4)
-    if best == 0:
-        w = 0.5 * np.sqrt(max(candidates[0], 0.0))
-        q[:] = (w, (o[2, 1] - o[1, 2]) / (4 * w), (o[0, 2] - o[2, 0]) / (4 * w), (o[1, 0] - o[0, 1]) / (4 * w))
-    elif best == 1:
-        x = 0.5 * np.sqrt(max(candidates[1], 0.0))
-        q[:] = ((o[2, 1] - o[1, 2]) / (4 * x), x, (o[0, 1] + o[1, 0]) / (4 * x), (o[0, 2] + o[2, 0]) / (4 * x))
-    elif best == 2:
-        y = 0.5 * np.sqrt(max(candidates[2], 0.0))
-        q[:] = ((o[0, 2] - o[2, 0]) / (4 * y), (o[0, 1] + o[1, 0]) / (4 * y), y, (o[1, 2] + o[2, 1]) / (4 * y))
-    else:
-        z = 0.5 * np.sqrt(max(candidates[3], 0.0))
-        q[:] = ((o[1, 0] - o[0, 1]) / (4 * z), (o[0, 2] + o[2, 0]) / (4 * z), (o[1, 2] + o[2, 1]) / (4 * z), z)
+    # Shepperd's method: O gives the symmetric table 4 q q^T. Its row with the
+    # largest diagonal entry (the first on ties), divided by 2 sqrt(diag), is q,
+    # with sqrt(diag) / 2 in its own place; the large divisor keeps it stable.
+    table = np.array([
+        [1.0 + t, o[2, 1] - o[1, 2], o[0, 2] - o[2, 0], o[1, 0] - o[0, 1]],
+        [o[2, 1] - o[1, 2], 1.0 + 2.0 * o[0, 0] - t, o[0, 1] + o[1, 0], o[0, 2] + o[2, 0]],
+        [o[0, 2] - o[2, 0], o[0, 1] + o[1, 0], 1.0 + 2.0 * o[1, 1] - t, o[1, 2] + o[2, 1]],
+        [o[1, 0] - o[0, 1], o[0, 2] + o[2, 0], o[1, 2] + o[2, 1], 1.0 + 2.0 * o[2, 2] - t],
+    ])
+    best = int(np.argmax(np.diag(table)))
+    root = np.sqrt(max(table[best, best], 0.0))
+    q = table[best] / (2.0 * root)
+    q[best] = 0.5 * root
     q /= np.linalg.norm(q)
     for component in q:
         if abs(component) > LIFT_BRANCH_TOL:

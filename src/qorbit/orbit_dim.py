@@ -14,8 +14,8 @@ straight into the preallocated frame. The singular values come from a
 tall-skinny QR of the transposed frame, one column block at a time,
 followed by the SVD of the small triangular factor; the frame's Gram
 matrix is never formed, since its eigenvalues would square the rank
-threshold below machine precision. Frames larger than ``_MAX_FRAME_BYTES``
-are refused with ``UnsupportedShape`` before any work is done.
+threshold below machine precision. Shapes whose frame would exceed
+``_MAX_FRAME_BYTES`` are refused (``UnsupportedShape``) before any work.
 
 The QR runs on D^2 folded columns, not the frame's 2 D^2. A row is the
 Hermitian X = i[h, rho], whose real part S is symmetric and imaginary part
@@ -80,13 +80,13 @@ class OrbitDimension:
 
 
 def _check_frame_size(shape: SystemShape) -> None:
-    """Raise ``UnsupportedShape`` if the shape's frame exceeds the bound."""
+    """Raise ``UnsupportedShape`` if the shape's frame would exceed the bound."""
     d_total = shape.total_dim
     nbytes = sum(d * d - 1 for d in shape.dims) * 2 * d_total * d_total * 8
     if nbytes > _MAX_FRAME_BYTES:
         raise UnsupportedShape(
-            f"orbit dimension of {shape} needs a {nbytes / 1e9:.3g} GB tangent frame; "
-            f"the limit is {_MAX_FRAME_BYTES / 1e9:.3g} GB"
+            f"orbit dimension covers shapes whose tangent frame would take at most "
+            f"{_MAX_FRAME_BYTES / 1e9:.3g} GB; that of {shape} would take {nbytes / 1e9:.3g} GB"
         )
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _SITES, BlochTensor, _contract
-from .canonical import CanonicalPoint, genericity
+from .canonical import CanonicalPoint, _gap_and_trace, genericity
 from .errors import (
     ConstraintViolation,
     DegenerateSpectrum,
@@ -54,15 +54,6 @@ def _vander_scaled(spectrum: np.ndarray) -> tuple[np.ndarray, float]:
 def _det_vander(spectrum: np.ndarray) -> float:
     x1, x2, x3 = (float(v) for v in spectrum)
     return (x1 - x2) * (x2 - x3) * (x3 - x1)
-
-
-def _check_gaps(spectrum: np.ndarray) -> None:
-    trace = float(np.sum(spectrum))
-    gap = min(spectrum[0] - spectrum[1], spectrum[1] - spectrum[2])
-    if gap <= EIGENGAP_RTOL * max(trace, 1e-300):
-        raise DegenerateSpectrum(
-            f"eigenvalue gap {gap:.3e} below {EIGENGAP_RTOL:.0e} * trace ({trace:.3e})"
-        )
 
 
 def spectra_from_traces(traces) -> np.ndarray:
@@ -117,7 +108,11 @@ def vector_from_quadratics(quads, sign_invariant: float, spectrum) -> np.ndarray
     """
     spectrum = np.asarray(spectrum, dtype=float)
     quads = np.asarray(quads, dtype=float)
-    _check_gaps(spectrum)
+    gap, trace = _gap_and_trace(spectrum)
+    if gap <= EIGENGAP_RTOL * max(trace, 1e-300):
+        raise DegenerateSpectrum(
+            f"eigenvalue gap {gap:.3e} below {EIGENGAP_RTOL:.0e} * trace ({trace:.3e})"
+        )
     if abs(sign_invariant) <= SIGN_INVARIANT_TOL:
         raise ZeroSignInvariant(
             f"sign invariant {sign_invariant:.3e} below {SIGN_INVARIANT_TOL:.0e}"

@@ -138,9 +138,6 @@ def validate(matrix, shape: SystemShape, repair: bool = False) -> DensityMatrix:
     """
     m = np.asarray(matrix, dtype=complex)
     if repair:
-        d = shape.total_dim
-        if m.shape != (d, d):
-            raise ShapeMismatch(f"matrix is {m.shape}, shape {shape} requires ({d}, {d})")
         # Reject first so repair only ever touches roundoff-level slack.
         DensityMatrix(shape, m)
         m = (m + m.conj().T) / 2.0

@@ -11,6 +11,12 @@ is held to one rounding (2.2e-16) there and compared bit for bit at n = 1.
 ``orbit_dimension`` streams row blocks of rho instead of ranking the
 materialized tangent frame; its reference is the materializing version,
 and the singular values are compared bit for bit.
+
+The Bloch component layout, the Kronecker product of per-site factors and
+the SO(3) -> SU(2) lift each have a reference written independently of the
+library's tables: the layout as index patterns over sites, the product as
+an explicit loop, and the lift as one hand-written branch per quaternion
+component.
 """
 
 import itertools
@@ -28,7 +34,7 @@ from qorbit.canonical import (
 )
 from qorbit.errors import ConstraintViolation, NotSpecialOrthogonal, NumericalError, ShapeMismatch, ToolkitError
 from qorbit.invariants import GRAM_PSD_TOL, _gram_mats, _sign_invariant, _triple_product
-from qorbit.local_action import UNITARITY_TOL, RotationTriple, transform_bloch
+from qorbit.local_action import LIFT_BRANCH_TOL, SPECIAL_TOL, UNITARITY_TOL, RotationTriple, transform_bloch
 from qorbit.orbit_dim import OrbitDimension
 from qorbit.reconstruction import (
     DIAGONALITY_RTOL, SIGN_INVARIANT_TOL, VandermondeSystem, _inverse_factor, spectra_from_traces,
@@ -265,6 +271,82 @@ def reconstruct_ref(t):
         coeff = getattr(t, name)
         m = m + np.tensordot(coeff, words, axes=coeff.ndim)
     return m
+
+
+def kron_ref(mats):
+    """The Kronecker product of mats, left to right, one np.kron per further factor."""
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+# Component name -> index pattern over sites (None = identity at that site),
+# in flatten() order.
+COMPONENTS_REF = {
+    1: [("alpha", (0,))],
+    2: [("alpha", (0, None)), ("beta", (None, 0)), ("pair_12", (0, 1))],
+    3: [
+        ("alpha", (0, None, None)),
+        ("beta", (None, 0, None)),
+        ("gamma", (None, None, 0)),
+        ("pair_12", (0, 1, None)),
+        ("pair_13", (0, None, 1)),
+        ("pair_23", (None, 0, 1)),
+        ("triple", (0, 1, 2)),
+    ],
+}
+
+
+def component_words_ref(n):
+    """The Pauli-word stack of each component, built from its index pattern."""
+    eye = np.eye(2, dtype=complex)
+    words = {}
+    for name, pattern in COMPONENTS_REF[n]:
+        axes = sum(1 for p in pattern if p is not None)
+        stack = np.empty((3,) * axes + (2**n, 2**n), dtype=complex)
+        for idx in itertools.product(range(3), repeat=axes):
+            stack[idx] = kron_ref([eye if p is None else bloch.PAULI[idx[p]] for p in pattern])
+        words[name] = stack
+    return words
+
+
+def lift_rotation_ref(o):
+    """Shepperd's quaternion extraction, one hand-written branch per largest component."""
+    o = np.asarray(o, dtype=float)
+    if o.shape != (3, 3):
+        raise ShapeMismatch(f"expected a 3x3 matrix, got {o.shape}")
+    orth_dev = float(np.max(np.abs(o.T @ o - np.eye(3))))
+    det_dev = abs(float(np.linalg.det(o)) - 1.0)
+    if orth_dev > SPECIAL_TOL or det_dev > SPECIAL_TOL:
+        raise NotSpecialOrthogonal(
+            f"orthogonality residue {orth_dev:.3e}, |det - 1| = {det_dev:.3e}",
+            margin=max(orth_dev, det_dev),
+        )
+    t = float(np.trace(o))
+    candidates = [1.0 + t, 1.0 + 2.0 * o[0, 0] - t, 1.0 + 2.0 * o[1, 1] - t, 1.0 + 2.0 * o[2, 2] - t]
+    best = int(np.argmax(candidates))
+    q_ = np.empty(4)
+    if best == 0:
+        w = 0.5 * np.sqrt(max(candidates[0], 0.0))
+        q_[:] = (w, (o[2, 1] - o[1, 2]) / (4 * w), (o[0, 2] - o[2, 0]) / (4 * w), (o[1, 0] - o[0, 1]) / (4 * w))
+    elif best == 1:
+        x = 0.5 * np.sqrt(max(candidates[1], 0.0))
+        q_[:] = ((o[2, 1] - o[1, 2]) / (4 * x), x, (o[0, 1] + o[1, 0]) / (4 * x), (o[0, 2] + o[2, 0]) / (4 * x))
+    elif best == 2:
+        y = 0.5 * np.sqrt(max(candidates[2], 0.0))
+        q_[:] = ((o[0, 2] - o[2, 0]) / (4 * y), (o[0, 1] + o[1, 0]) / (4 * y), y, (o[1, 2] + o[2, 1]) / (4 * y))
+    else:
+        z = 0.5 * np.sqrt(max(candidates[3], 0.0))
+        q_[:] = ((o[1, 0] - o[0, 1]) / (4 * z), (o[0, 2] + o[2, 0]) / (4 * z), (o[1, 2] + o[2, 1]) / (4 * z), z)
+    q_ /= np.linalg.norm(q_)
+    for component in q_:
+        if abs(component) > LIFT_BRANCH_TOL:
+            if component < 0:
+                q_ = -q_
+            break
+    w, x, y, z = q_
+    return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]], dtype=complex)
 
 
 def orbit_dimension_ref(rho, tol=RANK_RTOL):
@@ -544,6 +626,75 @@ class TestBlochKernels:
     def test_max_abs(self, t):
         assert same_bits(t.max_abs(), max_abs_ref(t))
         assert same_bits(invariants.coefficient_scale(t), max(1e-30, max_abs_ref(t)))
+
+
+def pi_turn(axis) -> np.ndarray:
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    return 2.0 * np.outer(n, n) - np.eye(3)
+
+
+# Rotations whose Shepperd diagonal has exact ties, with the tied entries.
+# The last four (identity and pi turns about the axes) are the Klein elements.
+TIED_ROTATIONS = {
+    "pi about (1,1,0)": ([[0, 1, 0], [1, 0, 0], [0, 0, -1]], (1, 2)),
+    "pi about (1,0,1)": ([[0, 0, 1], [0, -1, 0], [1, 0, 0]], (1, 3)),
+    "pi about (0,1,1)": ([[-1, 0, 0], [0, 0, 1], [0, 1, 0]], (2, 3)),
+    "2pi/3 about (1,1,1)": ([[0, 0, 1], [1, 0, 0], [0, 1, 0]], (0, 1, 2, 3)),
+    "identity": ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], (0,)),
+    "pi about x": ([[1, 0, 0], [0, -1, 0], [0, 0, -1]], (1,)),
+    "pi about y": ([[-1, 0, 0], [0, 1, 0], [0, 0, -1]], (2,)),
+    "pi about z": ([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], (3,)),
+}
+
+
+class TestLocalActionKernels:
+    @staticmethod
+    def assert_same_lift(o):
+        got, want = outcome(q.lift_rotation, o), outcome(lift_rotation_ref, o)
+        assert same_bits(got, want) if isinstance(want, np.ndarray) else got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(rotations)
+    def test_lift_rotation(self, o):
+        self.assert_same_lift(o)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6), st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any))
+    def test_lift_rotation_after_pi_turn(self, seed, axis):
+        """A pi turn about a small integer axis zeroes the trace entry of the diagonal
+        and ties or nearly ties the others; composed with a rotation it is a generic draw."""
+        o = rotation(seed, 0.0, False)
+        self.assert_same_lift(o @ pi_turn(axis))
+        self.assert_same_lift(pi_turn(axis))
+
+    def test_klein_elements_are_tied_rotations(self):
+        klein = [np.array(o, dtype=float) for o, _ in list(TIED_ROTATIONS.values())[-4:]]
+        assert all(same_bits(a, b) for a, b in zip(klein, KLEIN))
+
+    @pytest.mark.parametrize("name", TIED_ROTATIONS)
+    def test_lift_rotation_on_exact_ties(self, name):
+        o, tied = TIED_ROTATIONS[name]
+        o = np.array(o, dtype=float)
+        t = np.trace(o)
+        diagonal = np.array([1.0 + t, *(1.0 + 2.0 * np.diag(o) - t)])
+        assert [i for i, c in enumerate(diagonal) if c == diagonal.max()] == list(tied)
+        self.assert_same_lift(o)
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (2, 3), (4, 2), (2, 2, 2), (3, 2, 4), (2,) * 5])
+    def test_full_matrix(self, dims):
+        u = q.haar_local(q.SystemShape(dims), seed=len(dims) + sum(dims))
+        got = u.full_matrix()
+        assert same_bits(got, kron_ref(u.factors))
+        if len(dims) == 1:
+            assert got is u.factors[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_component_words_match_index_patterns(self, n):
+        got, want = _component_words(n), component_words_ref(n)
+        assert list(got) == list(want) == [name for name, _ in bloch._components(n)]
+        for name in want:
+            assert same_bits(got[name], want[name]), name
+            assert got[name].shape[:-2] == bloch._SHAPES[name]
 
 
 class TestRotationChecks:

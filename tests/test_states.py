@@ -79,6 +79,12 @@ class TestValidate:
         with pytest.raises(TraceNotOne):
             q.validate(np.diag([0.6, 0.6]), QUBIT, repair=True)
 
+    def test_repair_rejects_misshapen_matrix(self):
+        with pytest.raises(ShapeMismatch) as excinfo:
+            q.validate(np.eye(3) / 3, QUBIT, repair=True)
+        assert type(excinfo.value) is ShapeMismatch
+        assert str(excinfo.value) == "matrix is (3, 3), shape (2) requires (2, 2)"
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_entry_rejected(self, entry):
         m = np.eye(2, dtype=complex) / 2
