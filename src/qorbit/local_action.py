@@ -23,6 +23,12 @@ from .states import DensityMatrix, SystemShape, _rng
 from .tolerances import LIFT_BRANCH_TOL, SPECIAL_TOL, UNITARITY_TOL
 
 
+def _det(a: np.ndarray):
+    """np.linalg.det, quiet on NaN input: the checks that read it refuse a NaN deviation."""
+    with np.errstate(invalid="ignore"):
+        return np.linalg.det(a)
+
+
 @dataclass(frozen=True)
 class LocalUnitary:
     """One unitary factor per site of a system shape."""
@@ -41,7 +47,7 @@ class LocalUnitary:
             if u.shape != (d, d):
                 raise ShapeMismatch(f"factor {r} has shape {u.shape}, expected ({d}, {d})")
             dev = float(np.max(np.abs(u @ u.conj().T - np.eye(d))))
-            if dev > UNITARITY_TOL:
+            if not dev <= UNITARITY_TOL:  # NaN fails too
                 raise NotSpecialUnitary(
                     f"factor {r}: max |u u^dag - 1| = {dev:.3e}", margin=dev
                 )
@@ -69,9 +75,9 @@ class RotationTriple:
         if n_shaped:
             stack = np.array(mats[:n_shaped])
             devs = np.abs(stack.transpose(0, 2, 1) @ stack - np.eye(3)).max(axis=(1, 2))
-            det_devs = np.abs(np.linalg.det(stack) - 1.0)
+            det_devs = np.abs(_det(stack) - 1.0)
             for r, (dev, det_dev) in enumerate(zip(devs.tolist(), det_devs.tolist())):
-                if dev > UNITARITY_TOL or det_dev > UNITARITY_TOL:
+                if not (dev <= UNITARITY_TOL and det_dev <= UNITARITY_TOL):
                     raise NotSpecialOrthogonal(
                         f"rotation {r}: orthogonality residue {dev:.3e}, |det - 1| = {det_dev:.3e}",
                         margin=max(dev, det_dev),
@@ -126,9 +132,9 @@ def adjoint_rotation(u) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ShapeMismatch(f"expected a 2x2 matrix, got {u.shape}")
-    det_dev = abs(complex(np.linalg.det(u)) - 1.0)
+    det_dev = abs(complex(_det(u)) - 1.0)
     unit_dev = float(np.max(np.abs(u @ u.conj().T - np.eye(2))))
-    if det_dev > SPECIAL_TOL or unit_dev > SPECIAL_TOL:
+    if not (det_dev <= SPECIAL_TOL and unit_dev <= SPECIAL_TOL):
         raise NotSpecialUnitary(
             f"|det - 1| = {det_dev:.3e}, unitarity residue {unit_dev:.3e}",
             margin=max(det_dev, unit_dev),
@@ -148,8 +154,8 @@ def lift_rotation(o) -> np.ndarray:
     if o.shape != (3, 3):
         raise ShapeMismatch(f"expected a 3x3 matrix, got {o.shape}")
     orth_dev = float(np.max(np.abs(o.T @ o - np.eye(3))))
-    det_dev = abs(float(np.linalg.det(o)) - 1.0)
-    if orth_dev > SPECIAL_TOL or det_dev > SPECIAL_TOL:
+    det_dev = abs(float(_det(o)) - 1.0)
+    if not (orth_dev <= SPECIAL_TOL and det_dev <= SPECIAL_TOL):
         raise NotSpecialOrthogonal(
             f"orthogonality residue {orth_dev:.3e}, |det - 1| = {det_dev:.3e}",
             margin=max(orth_dev, det_dev),

@@ -41,6 +41,7 @@ lies inside one of them, where h.rho reads only the site's d slabs of rho.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -90,16 +91,27 @@ def _check_frame_size(shape: SystemShape) -> None:
         )
 
 
-def _contract(t: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-    """dst[:, p, :] = sum_q t[p, q] src[:, q, :], skipping the zeros of t."""
-    for p, row in enumerate(t):
-        nonzero = np.flatnonzero(row)
-        if nonzero.size == 0:
+def _rows(t: np.ndarray) -> tuple[tuple[tuple[int, complex], ...], ...]:
+    """The nonzero (q, t[p, q]) of each row p of t."""
+    return tuple(tuple((int(q), row[q]) for q in np.flatnonzero(row)) for row in t)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_table(d: int) -> tuple[tuple[tuple, tuple], ...]:
+    """(_rows(t), _rows(t^T)) for each su(d) generator t, in basis order."""
+    return tuple((_rows(t), _rows(t.T)) for t in generator_basis(d).generators)
+
+
+def _contract(rows, src: np.ndarray, dst: np.ndarray) -> None:
+    """dst[:, p, :] = sum_q t[p, q] src[:, q, :] over the nonzero (q, t[p, q]) in rows[p]."""
+    for p, terms in enumerate(rows):
+        if not terms:
             dst[:, p, :] = 0.0
             continue
-        np.multiply(src[:, nonzero[0], :], row[nonzero[0]], out=dst[:, p, :])
-        for q in nonzero[1:]:
-            dst[:, p, :] += src[:, q, :] * row[q]
+        q, value = terms[0]
+        np.multiply(src[:, q, :], value, out=dst[:, p, :])
+        for q, value in terms[1:]:
+            dst[:, p, :] += src[:, q, :] * value
 
 
 def _stream_rows(dims: tuple[int, ...]) -> int:
@@ -143,9 +155,9 @@ def _commutators(m: np.ndarray, dims: tuple[int, ...], start: int,
             q, a = divmod(offset, after)
             src = m.reshape(before, d, after * d_total)[x:x + 1, :, a * d_total:(a + n_rows) * d_total]
             dst, p = hm.reshape(1, 1, n_rows * d_total), slice(q, q + 1)
-        for t in generator_basis(d).generators:
-            _contract(t[p], src, dst)
-            _contract(t.T, block.reshape(cols), mh.reshape(cols))
+        for rows_t, rows_tt in _row_table(d):
+            _contract(rows_t[p], src, dst)
+            _contract(rows_tt, block.reshape(cols), mh.reshape(cols))
             yield hm, mh
 
 

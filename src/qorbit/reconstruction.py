@@ -28,6 +28,7 @@ from .errors import (
     DegenerateSpectrum,
     InconsistentTraces,
     NegativeSquare,
+    ShapeMismatch,
     SingularSystem,
     ZeroSignInvariant,
 )
@@ -38,6 +39,14 @@ from .tolerances import (
     DIAGONALITY_RTOL, EIGENGAP_RTOL, NEGATIVE_ROOT_RTOL, NEGATIVE_SQUARE_HARD, PINNED_DRIFT_RTOL,
     SIGN_CONSISTENCY_RTOL, SIGN_INVARIANT_TOL, VANDER_DET_RTOL,
 )
+
+
+def _three(name: str, values) -> np.ndarray:
+    """values as a float array of one entry per Bloch axis, or ShapeMismatch."""
+    a = np.asarray(values, dtype=float)
+    if a.shape != (3,):
+        raise ShapeMismatch(f"{name} must have 3 entries, got shape {a.shape}")
+    return a
 
 
 def _vander_scaled(spectrum: np.ndarray) -> tuple[np.ndarray, float]:
@@ -106,8 +115,8 @@ def vector_from_quadratics(quads, sign_invariant: float, spectrum) -> np.ndarray
     inputs are known to near machine precision; afterwards the identity is
     re-verified on the result.
     """
-    spectrum = np.asarray(spectrum, dtype=float)
-    quads = np.asarray(quads, dtype=float)
+    spectrum = _three("spectrum", spectrum)
+    quads = _three("quadratics", quads)
     gap, trace = _gap_and_trace(spectrum)
     if gap <= EIGENGAP_RTOL * max(trace, 1e-300):
         raise DegenerateSpectrum(
@@ -149,6 +158,7 @@ def vector_from_quadratics(quads, sign_invariant: float, spectrum) -> np.ndarray
 
 def _inverse_factor(spectrum, vector) -> np.ndarray:
     """(Vandermonde * diag(vector))^{-1} for one site, kept well scaled."""
+    spectrum, vector = _three("spectrum", spectrum), _three("vector", vector)
     det_product = _det_vander(spectrum) * float(np.prod(vector))
     if abs(det_product) <= SIGN_INVARIANT_TOL:
         raise SingularSystem(

@@ -11,6 +11,10 @@ HERMITICITY_RTOL = 1e-12
 TRACE_TOL = 1e-12
 # states: lowest eigenvalue a valid density matrix may have, absolute.
 EIGENVALUE_FLOOR = -1e-10
+# states: diagonal shift of the Cholesky positivity proof, absolute. A factorisation of
+# m - POSITIVITY_SHIFT * I succeeds only if lambda_min(m) > -5e-11 - O(D eps |m|), which
+# stays above EIGENVALUE_FLOOR by far more than eigvalsh's own O(D eps |m|) error.
+POSITIVITY_SHIFT = EIGENVALUE_FLOOR / 2
 
 # bloch: imaginary residue of a Pauli expansion coefficient, absolute.
 IMAG_RESIDUE_TOL = 1e-12

@@ -174,3 +174,22 @@ class TestTransformBloch:
         t = q.expand(q.random_state(q.SystemShape((2, 2)), seed=27))
         with pytest.raises(ShapeMismatch):
             q.transform_bloch(t, q.RotationTriple.identity(3))
+
+
+def nan_at(matrix, where):
+    """matrix with NaN at the index `where` (every entry for None)."""
+    out = np.array(matrix, dtype=float)
+    out[... if where is None else where] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("where", [None, (0, 1)], ids=["all", "one"])
+@pytest.mark.parametrize("check, error", [
+    (lambda where: q.LocalUnitary(q.SystemShape((2,)), (nan_at(np.eye(2), where),)), NotSpecialUnitary),
+    (lambda where: q.RotationTriple((nan_at(np.eye(3), where),)), NotSpecialOrthogonal),
+    (lambda where: q.adjoint_rotation(nan_at(np.eye(2), where)), NotSpecialUnitary),
+    (lambda where: q.lift_rotation(nan_at(np.eye(3), where)), NotSpecialOrthogonal),
+], ids=["LocalUnitary", "RotationTriple", "adjoint_rotation", "lift_rotation"])
+def test_nan_deviation_is_refused(check, error, where):
+    with pytest.raises(error, match="nan"):
+        check(where)

@@ -185,7 +185,7 @@ class TestContractedFrame:
         t[2] = 0.0
         src = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
         dst = np.full_like(src, np.nan)
-        orbit_dim._contract(t, src, dst)
+        orbit_dim._contract(orbit_dim._rows(t), src, dst)
         assert np.allclose(dst, np.einsum("pq,iqj->ipj", t, src), rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("dims", SHAPES)

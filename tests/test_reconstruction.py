@@ -7,6 +7,7 @@ from qorbit.errors import (
     DegenerateSpectrum,
     InconsistentTraces,
     NegativeSquare,
+    ShapeMismatch,
     SingularSystem,
     ZeroSignInvariant,
 )
@@ -58,6 +59,14 @@ class TestVectorFromQuadratics:
         with pytest.raises(NegativeSquare):
             q.vector_from_quadratics(quads, 1.0, (3.0, 2.0, 1.0))
 
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("name", ["quads", "spectrum"])
+    def test_wrong_length_is_shape_mismatch(self, name, size):
+        args = {"quads": [1.0, 1.0, 1.0], "spectrum": [3.0, 2.0, 1.0]}
+        args[name] = list(range(size, 0, -1))
+        with pytest.raises(ShapeMismatch, match="must have 3 entries"):
+            q.vector_from_quadratics(args["quads"], 1.0, args["spectrum"])
+
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_round_trip_recovers_canonical_vector(self, seed):
         _, point, inv = canonical_and_invariants(seed)
@@ -81,6 +90,15 @@ class TestPairFromMixed:
             q.pair_from_mixed(
                 np.eye(3), spectrum, np.array([0.5, 0.0, 0.3]), spectrum, np.array([1.0, 1.0, 1.0])
             )
+
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("position", range(4))
+    def test_wrong_length_is_shape_mismatch(self, position, size):
+        # row spectrum, row vector, column spectrum, column vector
+        args = [np.array([3.0, 2.0, 1.0]), np.array([0.5, 0.4, 0.3])] * 2
+        args[position] = np.arange(size, 0.0, -1.0)
+        with pytest.raises(ShapeMismatch, match="must have 3 entries"):
+            q.pair_from_mixed(np.eye(3), *args)
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_round_trip(self, seed):

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qorbit as q
 from qorbit.errors import (
@@ -14,6 +16,7 @@ from qorbit.errors import (
     TraceNotOne,
     ValidationError,
 )
+from qorbit.tolerances import EIGENVALUE_FLOOR
 
 QUBIT = q.SystemShape((2,))
 
@@ -227,13 +230,20 @@ class TestRandomState:
 class TestSpectrum:
     """Validation's eigendecomposition is the one ``eigenvalues`` returns."""
 
-    @pytest.mark.parametrize("dims, rank", [((2, 2, 2), None), ((2, 3), 2), ((2,), 1)])
+    @pytest.mark.parametrize("dims, rank", [((2, 2, 2), None), ((2, 3), 2), ((2,), 1),
+                                            ((2, 3, 4), None), ((2,) * 5, None)])
     def test_spectrum_is_eigvalsh_of_matrix(self, dims, rank):
         rho = q.random_state(q.SystemShape(dims), rank=rank, seed=3)
         spectrum = rho.eigenvalues()
         assert np.array_equal(spectrum, np.linalg.eigvalsh(rho.matrix))
         assert spectrum is rho.eigenvalues()
         assert not spectrum.flags.writeable
+
+    @pytest.mark.parametrize("dims, eager", [((2, 2, 2), True), ((2,) * 4, False)])
+    def test_spectrum_eager_only_up_to_d8(self, dims, eager):
+        rho = q.random_state(q.SystemShape(dims), seed=5)
+        assert (rho._spectrum is not None) == eager
+        assert rho.eigenvalues() is rho._spectrum
 
     def test_spectrum_outside_repr_and_equality(self):
         rho = q.maximally_mixed(QUBIT)
@@ -288,3 +298,42 @@ class TestStateFiles:
         path.write_text('{"dims": %s, "matrix": [[[1, 0]]]}' % dims)
         with pytest.raises(ParseError, match="field 'dims' must be an array of integers"):
             q.read_state(path)
+
+
+POSITIVITY_SHAPES = {4: (2, 2), 8: (2, 2, 2), 16: (2,) * 4, 24: (2, 3, 4), 64: (4, 4, 4)}
+
+
+def state_with_lowest(d, lowest, zeros, seed):
+    """U diag(lam) U^H with `zeros` eigenvalues 0, then `lowest`, the rest positive; trace 1."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rest = rng.uniform(0.1, 1.0, d - zeros - 1)
+    lam = np.concatenate([np.zeros(zeros), [lowest], rest * (1.0 - lowest) / rest.sum()])
+    m = (u * lam) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+class TestPositivityRoute:
+    """Above D = 8 a Cholesky proves positivity; the accept/refuse boundary is eigvalsh's."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(d=st.sampled_from(sorted(POSITIVITY_SHAPES)),
+           lowest=st.one_of(
+               st.builds(lambda k, sign: EIGENVALUE_FLOOR * (1 + sign * 10.0 ** -k),
+                         st.integers(1, 8), st.sampled_from((-1, 1))),
+               st.just(EIGENVALUE_FLOOR / 2),
+               st.just(0.0)),
+           zero_share=st.sampled_from((0.0, 0.25, 0.5, 0.9)),
+           seed=st.integers(0, 2**31 - 1))
+    def test_accepts_exactly_when_eigvalsh_does(self, d, lowest, zero_share, seed):
+        m = state_with_lowest(d, lowest, int(zero_share * (d - 1)), seed)
+        shape = q.SystemShape(POSITIVITY_SHAPES[d])
+        min_eig = float(np.linalg.eigvalsh(m)[0])
+        if min_eig >= EIGENVALUE_FLOOR:
+            rho = q.DensityMatrix(shape, m)
+            assert np.array_equal(rho.eigenvalues(), np.linalg.eigvalsh(m))
+        else:
+            with pytest.raises(NotPositive) as info:
+                q.DensityMatrix(shape, m)
+            assert info.value.margin == min_eig
+            assert str(info.value) == f"smallest eigenvalue {min_eig:.3e} below {EIGENVALUE_FLOOR:.0e}"

@@ -1,9 +1,12 @@
-"""Print three SHA-256 digests of qorbit's outputs on fixed-seed corpora.
+"""Print four SHA-256 digests of qorbit's outputs on fixed-seed corpora.
 
 Run it in two checkouts; equal digests mean a change kept every output
 byte of the library and CLI paths below:
 
     python tools/same_outputs.py
+
+Compare runs on one host with one BLAS thread count: LAPACK's bytes, and
+so the ``orbit`` and ``states`` digests, can differ between them.
 
 ``library`` hashes, for ``decide_mix(seed, 400)`` with seeds 1-3, the
 ``decide`` verdict repr and payload, and for both states of each pair the
@@ -19,6 +22,13 @@ stdout, stderr and exit code of ``invariants``, ``canonical`` and
 ``orbit_dimension`` singular-value bytes and dimension of every shape,
 and the outputs of ``orbit-dim --random --json`` on three shapes: one
 ranked in a single stream block and two streamed in several.
+
+``states`` hashes, for ``DensityMatrix`` on a seeded corpus of states at
+the positivity boundary (D from 4 to 256; smallest eigenvalue just above
+and below ``EIGENVALUE_FLOOR``, at half of it, at 0 in rank-deficient
+states, and clearly negative or positive), whether each state is
+accepted, each error's type, message and margin, and the
+``eigenvalues()`` bytes of each accepted state.
 
 The qorbit imported is the one under this checkout's ``src/``; the inputs
 come from ``perfbench/corpus.py``, which is only imported.
@@ -36,8 +46,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import corpus  # noqa: E402
+import numpy as np  # noqa: E402
 import qorbit  # noqa: E402
 from qorbit.cli import run  # noqa: E402
+from qorbit.tolerances import EIGENVALUE_FLOOR  # noqa: E402
 
 
 def _call(digest, fn, *args):
@@ -120,10 +132,47 @@ def orbit_digest() -> str:
     return digest.hexdigest()
 
 
+# One shape per total dimension of the positivity corpus.
+BOUNDARY_SHAPES = ((2, 2), (2, 2, 2), (2,) * 4, (2, 3, 4), (4, 4, 4), (2,) * 7, (2,) * 8)
+# Smallest eigenvalues placed around the floor, half of it, 0 and clearly off it.
+BOUNDARY_LOWEST = tuple(
+    EIGENVALUE_FLOOR * (1 + sign * 10.0 ** -k) for k in range(1, 7) for sign in (-1, 1)
+) + (EIGENVALUE_FLOOR / 2, 0.0, -1e-6, 1e-6)
+
+
+def boundary_state(d: int, lowest: float, zeros: int, rng) -> np.ndarray:
+    """U diag(lam) U^H, U random unitary: ``zeros`` eigenvalues 0, then ``lowest``, the rest positive."""
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    rest = rng.uniform(0.1, 1.0, d - zeros - 1)
+    lam = np.concatenate([np.zeros(zeros), [lowest], rest * (1.0 - lowest) / rest.sum()])
+    m = (u * lam) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+def states_digest() -> str:
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(14)
+    for dims in BOUNDARY_SHAPES:
+        shape = qorbit.SystemShape(dims)
+        d = shape.total_dim
+        for zeros in (0, d // 2):
+            for lowest in BOUNDARY_LOWEST:
+                m = boundary_state(d, lowest, zeros, rng)
+                try:
+                    rho = qorbit.DensityMatrix(shape, m)
+                except qorbit.ValidationError as exc:
+                    digest.update(f"{dims} refused {type(exc).__name__}: {exc} {exc.margin!r}\n".encode())
+                    continue
+                digest.update(f"{dims} accepted\n".encode())
+                digest.update(rho.eigenvalues().tobytes())
+    return digest.hexdigest()
+
+
 def main() -> None:
     print(f"library {library_digest()}")
     print(f"cli     {cli_digest()}")
     print(f"orbit   {orbit_digest()}")
+    print(f"states  {states_digest()}")
 
 
 if __name__ == "__main__":
