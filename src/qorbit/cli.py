@@ -25,14 +25,7 @@ from .errors import (
     UnsupportedShape,
     ValidationError,
 )
-from .invariants import (
-    Invariant1,
-    InvariantSet3,
-    invariant1,
-    invariant_payload_to_values,
-    invariants2,
-    invariants3,
-)
+from .invariants import InvariantSet3, fingerprint, invariant1, invariant_payload_to_values
 from .orbit_dim import _check_frame_size, invariant_count_formula, orbit_dimension
 from .reconstruction import reconstruct_canonical
 from .states import SystemShape, random_state, read_state, write_state
@@ -183,19 +176,14 @@ def _cmd_invariants(args, out, err) -> int:
         raise _UsageError(f"--set goes with two-qubit states, not n={tensor.n}")
     if tensor.n == 1:
         res = invariant1(tensor)
-        payload = {
-            "n": 1,
-            "names": ["I", "purity"],
-            "values": [res.value, res.purity],
-            "note": Invariant1.IDENTITY_NOTE,
-        }
+        payload = res.payload()
         lines = [
             f"I = |alpha|^2 = {res.value:.17g}",
             f"tr(rho^2) = {res.purity:.17g}",
-            Invariant1.IDENTITY_NOTE,
+            res.IDENTITY_NOTE,
         ]
     else:
-        inv = invariants2(tensor) if tensor.n == 2 else invariants3(tensor)
+        inv = fingerprint(tensor)
         payload = inv.payload(minimal=True) if args.set == "minimal" else inv.payload()
         lines = [f"{name} = {value:.17g}"
                  for name, value in zip(payload["names"], payload["values"])]

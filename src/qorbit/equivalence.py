@@ -27,7 +27,7 @@ from scipy.optimize import minimize
 from .bloch import PAULI, expand
 from .canonical import GenericityReport, canonicalize
 from .errors import ShapeMismatch, UnsupportedShape, ValidationError
-from .invariants import FAMILIES, coefficient_scale, first_disagreement
+from .invariants import coefficient_scale, fingerprint, first_disagreement
 from .local_action import LocalUnitary
 from .states import DensityMatrix, _rng
 from .tolerances import (
@@ -88,7 +88,7 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
     """
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ValidationError(f"comparison tolerance must be finite and >= 0, got {rtol!r}")
-    n = _check_pair(rho1, rho2)
+    _check_pair(rho1, rho2)
 
     entry_scale = max(float(np.abs(rho1.matrix).max()), float(np.abs(rho2.matrix).max()))
     ident_dev = float(np.abs(rho1.matrix - rho2.matrix).max())
@@ -106,15 +106,15 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
         )
 
     t1, t2 = expand(rho1), expand(rho2)
-    evaluate, names, degrees = FAMILIES[n]
-    inv1, inv2 = evaluate(t1).values, evaluate(t2).values
+    set1 = fingerprint(t1)
+    inv1, inv2 = set1.values, fingerprint(t2).values
     scale = coefficient_scale(t1, t2)
-    bad = first_disagreement(inv1, inv2, degrees, scale, rtol=rtol)
+    bad = first_disagreement(inv1, inv2, set1.DEGREES, scale, rtol=rtol)
     if bad is not None:
         return EquivalenceVerdict(
             verdict="distinct",
             witness=Witness(
-                names[bad],
+                set1.NAMES[bad],
                 (float(inv1[bad]), float(inv2[bad])),
                 float(abs(inv1[bad] - inv2[bad])),
             ),

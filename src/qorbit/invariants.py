@@ -32,41 +32,28 @@ from .tolerances import (
 
 PAIR_KEYS = ("12", "13", "23")
 
-NAMES3: tuple[str, ...] = tuple(
-    [f"tr{g}{r}" for g in "XYZ" for r in (1, 2, 3)]
-    + [f"{f}{2 * r}" for f in "ABC" for r in (1, 2, 3)]
-    + ["A9", "B9", "C9"]
-    + [f"I{p}_{r}{s}" for p in PAIR_KEYS for r in (1, 2, 3) for s in (1, 2, 3)]
-    + [f"I123_{r}{s}{t}" for r in (1, 2, 3) for s in (1, 2, 3) for t in (1, 2, 3)]
+# Each family as (name, degree) pairs in its frozen order.
+_FAMILY3 = (
+    [(f"tr{g}{r}", 2 * r) for g in "XYZ" for r in (1, 2, 3)]
+    + [(f"{f}{2 * r}", 2 * r) for f in "ABC" for r in (1, 2, 3)]
+    + [("A9", 9), ("B9", 9), ("C9", 9)]
+    + [(f"I{p}_{r}{s}", 2 * r + 2 * s - 1) for p in PAIR_KEYS for r in (1, 2, 3) for s in (1, 2, 3)]
+    + [(f"I123_{r}{s}{t}", 2 * (r + s + t) - 2) for r in (1, 2, 3) for s in (1, 2, 3) for t in (1, 2, 3)]
 )
 
-DEGREES3: tuple[int, ...] = tuple(
-    [2 * r for _ in "XYZ" for r in (1, 2, 3)]
-    + [2 * r for _ in "ABC" for r in (1, 2, 3)]
-    + [9, 9, 9]
-    + [2 * r + 2 * s - 1 for _ in PAIR_KEYS for r in (1, 2, 3) for s in (1, 2, 3)]
-    + [2 * (r + s + t) - 2 for r in (1, 2, 3) for s in (1, 2, 3) for t in (1, 2, 3)]
-)
-
-NAMES2: tuple[str, ...] = (
-    "trX1", "trX2", "detR",
-    "A2", "A4", "A6",
-    "mix1", "mix2", "mix3",
-    "A9",
+_FAMILY2 = [
+    ("trX1", 2), ("trX2", 4), ("detR", 3),
+    ("A2", 2), ("A4", 4), ("A6", 6),
+    ("mix1", 3), ("mix2", 5), ("mix3", 7),
+    ("A9", 9),
     # redundant members beyond the minimal ten
-    "B2", "B4", "B6", "B9",
-)
+    ("B2", 2), ("B4", 4), ("B6", 6), ("B9", 9),
+]
 
-DEGREES2: tuple[int, ...] = (2, 4, 3, 2, 4, 6, 3, 5, 7, 9, 2, 4, 6, 9)
+NAMES3, DEGREES3 = map(tuple, zip(*_FAMILY3))
+NAMES2, DEGREES2 = map(tuple, zip(*_FAMILY2))
 
 MINIMAL2 = 10
-
-# n -> (evaluator, names, degrees) of the family decide compares. The evaluators look their
-# function up per call, so a wrapper set on the module attribute (perfbench's tracer) sees it.
-FAMILIES = {
-    2: (lambda t: invariants2(t), NAMES2, DEGREES2),
-    3: (lambda t: invariants3(t), NAMES3, DEGREES3),
-}
 
 
 @dataclass(frozen=True)
@@ -147,17 +134,29 @@ def _trace_powers(mat: np.ndarray) -> list[float]:
 
 
 @dataclass(frozen=True)
-class InvariantSet3:
-    """The 75-member three-qubit family in the frozen NAMES3 order."""
+class _InvariantSet:
+    """A family's values, read-only; each subclass sets its N, NAMES and DEGREES."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
-        if v.shape != (75,):
-            raise ValueError(f"expected 75 values, got shape {v.shape}")
+        if v.shape != (len(self.NAMES),):
+            raise ValueError(f"expected {len(self.NAMES)} values, got shape {v.shape}")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    def _payload(self, names: tuple[str, ...]) -> dict:
+        return {"n": self.N, "names": list(names), "values": self.values[:len(names)].tolist()}
+
+    def payload(self) -> dict:
+        return self._payload(self.NAMES)
+
+
+class InvariantSet3(_InvariantSet):
+    """The 75-member three-qubit family in the frozen NAMES3 order."""
+
+    N, NAMES, DEGREES = 3, NAMES3, DEGREES3
 
     def trace_family(self, site: int) -> np.ndarray:
         return self.values[3 * site:3 * site + 3]
@@ -175,30 +174,17 @@ class InvariantSet3:
     def triple_family(self) -> np.ndarray:
         return self.values[48:75].reshape(3, 3, 3)
 
-    def payload(self) -> dict:
-        return {"n": 3, "names": list(NAMES3), "values": self.values.tolist()}
 
-
-@dataclass(frozen=True)
-class InvariantSet2:
+class InvariantSet2(_InvariantSet):
     """Minimal ten two-qubit invariants plus four redundant members."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.shape != (len(NAMES2),):
-            raise ValueError(f"expected {len(NAMES2)} values, got shape {v.shape}")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+    N, NAMES, DEGREES = 2, NAMES2, DEGREES2
 
     def minimal(self) -> np.ndarray:
         return self.values[:MINIMAL2]
 
     def payload(self, minimal: bool = False) -> dict:
-        names = NAMES2[:MINIMAL2] if minimal else NAMES2
-        values = self.values[:len(names)]
-        return {"n": 2, "names": list(names), "values": values.tolist()}
+        return self._payload(self.NAMES[:MINIMAL2] if minimal else self.NAMES)
 
 
 def invariants3(t: BlochTensor) -> InvariantSet3:
@@ -241,6 +227,12 @@ def invariants2(t: BlochTensor) -> InvariantSet2:
     return InvariantSet2(values)
 
 
+def fingerprint(t: BlochTensor) -> InvariantSet2 | InvariantSet3:
+    """The set ``decide`` compares: invariants2(t) for n = 2, else invariants3(t), each looked
+    up per call so that a wrapper on its module attribute (perfbench's tracer) sees the call."""
+    return invariants2(t) if t.n == 2 else invariants3(t)
+
+
 @dataclass(frozen=True)
 class Invariant1:
     """The single-qubit invariant |alpha|^2 with its spectral cross check."""
@@ -248,11 +240,16 @@ class Invariant1:
     value: float
     purity: float
 
+    NAMES = ("I", "purity")
     IDENTITY_NOTE = (
         "purity identity: tr(rho^2) = 1/2 + 2*I with I = |alpha|^2; "
         "note the factor of 2 -- I equals (tr(rho^2) - 1/2) / 2, "
         "not tr(rho^2) - 1/2."
     )
+
+    def payload(self) -> dict:
+        return {"n": 1, "names": list(self.NAMES), "values": [self.value, self.purity],
+                "note": self.IDENTITY_NOTE}
 
 
 def invariant1(t: BlochTensor) -> Invariant1:
@@ -303,7 +300,7 @@ def invariant_payload_to_values(payload) -> tuple[int, np.ndarray]:
     if not isinstance(payload, dict):
         raise ParseError("invariant file must contain a single object")
     n = payload.get("n")
-    if isinstance(n, bool) or n not in (1, 2, 3):
+    if type(n) is not int or n not in (1, 2, 3):
         raise ParseError("field 'n' must be 1, 2, or 3")
     names = payload.get("names")
     values = payload.get("values")
@@ -311,7 +308,8 @@ def invariant_payload_to_values(payload) -> tuple[int, np.ndarray]:
         raise ParseError("fields 'names' and 'values' must be arrays")
     if len(names) != len(values):
         raise ParseError("'names' and 'values' have different lengths")
-    expected = {3: list(NAMES3), 2: list(NAMES2), 1: ["I", "purity"]}[n]
-    if names != expected[:len(names)] or (n == 3 and len(names) != 75):
+    accepted = {1: [Invariant1.NAMES], 2: [InvariantSet2.NAMES[:MINIMAL2], InvariantSet2.NAMES],
+                3: [InvariantSet3.NAMES]}[n]
+    if tuple(names) not in accepted:
         raise ParseError("invariant names do not match the canonical list")
     return n, fileio.real_array(values, (len(values),), "values")

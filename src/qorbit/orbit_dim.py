@@ -91,9 +91,11 @@ def _check_frame_size(shape: SystemShape) -> None:
         )
 
 
-def _rows(t: np.ndarray) -> tuple[tuple[tuple[int, complex], ...], ...]:
-    """The nonzero (q, t[p, q]) of each row p of t."""
-    return tuple(tuple((int(q), row[q]) for q in np.flatnonzero(row)) for row in t)
+def _rows(t: np.ndarray) -> tuple[tuple[int, complex] | None, ...]:
+    """Each row p's one nonzero (q, t[p, q]), or None: a generalized Gell-Mann generator
+    has at most one nonzero in each row and column (``item`` raises on a second one)."""
+    return tuple((q.item(), row[q.item()]) if q.size else None
+                 for row, q in zip(t, map(np.flatnonzero, t)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -103,15 +105,12 @@ def _row_table(d: int) -> tuple[tuple[tuple, tuple], ...]:
 
 
 def _contract(rows, src: np.ndarray, dst: np.ndarray) -> None:
-    """dst[:, p, :] = sum_q t[p, q] src[:, q, :] over the nonzero (q, t[p, q]) in rows[p]."""
-    for p, terms in enumerate(rows):
-        if not terms:
+    """dst[:, p, :] = t[p, q] src[:, q, :] for the one nonzero (q, t[p, q]) in rows[p], else 0."""
+    for p, term in enumerate(rows):
+        if term is None:
             dst[:, p, :] = 0.0
-            continue
-        q, value = terms[0]
-        np.multiply(src[:, q, :], value, out=dst[:, p, :])
-        for q, value in terms[1:]:
-            dst[:, p, :] += src[:, q, :] * value
+        else:
+            np.multiply(src[:, term[0], :], term[1], out=dst[:, p, :])
 
 
 def _stream_rows(dims: tuple[int, ...]) -> int:

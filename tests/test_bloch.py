@@ -149,7 +149,9 @@ class TestBlochFiles:
             bloch_from_payload(payload)
 
     def test_boolean_n_is_parse_error(self):
-        payload = bloch_payload(q.expand(q.random_state(q.SystemShape((2,)), seed=33)))
-        payload["n"] = True
-        with pytest.raises(ParseError, match="field 'n' must be 1, 2, or 3"):
-            bloch_from_payload(payload)
+        # A float n is refused like a boolean, also where it equals the payload's n.
+        for dims, n in (((2,), True), ((2, 2), 2.0), ((2, 2, 2), 3.0)):
+            payload = bloch_payload(q.expand(q.random_state(q.SystemShape(dims), seed=33)))
+            payload["n"] = n
+            with pytest.raises(ParseError, match="field 'n' must be 1, 2, or 3"):
+                bloch_from_payload(payload)

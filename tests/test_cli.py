@@ -316,6 +316,17 @@ class TestErrorPaths:
         assert out == ""
         assert "parse error" in err and "field 'n'" in err
 
+    def test_float_n_in_invariant_file_is_parse_error(self, tmp_path):
+        q.write_state(q.random_state(q.SystemShape((2, 2, 2)), seed=16), tmp_path / "state.json")
+        code, out, _ = invoke("invariants", str(tmp_path / "state.json"), "--json")
+        assert code == 0
+        path = tmp_path / "float-n.json"
+        path.write_text(out.replace('"n": 3', '"n": 3.0'))
+        code, out, err = invoke("reconstruct", str(path), "--json")
+        assert code == 3
+        assert out == ""
+        assert "parse error" in err and "field 'n'" in err
+
     def test_qudit_expand_unsupported(self, tmp_path):
         path = tmp_path / "qudit.json"
         q.write_state(q.random_state(q.SystemShape((2, 3)), seed=13), path)

@@ -73,6 +73,20 @@ class TestInvariants3:
         assert NAMES3[18] == "A9"
         assert NAMES3[21] == "I12_11"
         assert NAMES3[48] == "I123_111"
+        assert NAMES3 == tuple(
+            [f"tr{g}{r}" for g in "XYZ" for r in (1, 2, 3)]
+            + [f"{f}{2 * r}" for f in "ABC" for r in (1, 2, 3)]
+            + ["A9", "B9", "C9"]
+            + [f"I{p}_{r}{s}" for p in ("12", "13", "23") for r in (1, 2, 3) for s in (1, 2, 3)]
+            + [f"I123_{r}{s}{t}" for r in (1, 2, 3) for s in (1, 2, 3) for t in (1, 2, 3)]
+        )
+        assert DEGREES3 == tuple(
+            [2 * r for _ in "XYZ" for r in (1, 2, 3)]
+            + [2 * r for _ in "ABC" for r in (1, 2, 3)]
+            + [9, 9, 9]
+            + [2 * r + 2 * s - 1 for _ in range(3) for r in (1, 2, 3) for s in (1, 2, 3)]
+            + [2 * (r + s + t) - 2 for r in (1, 2, 3) for s in (1, 2, 3) for t in (1, 2, 3)]
+        )
 
     def test_maximally_mixed_all_zero(self):
         inv = q.invariants3(q.expand(q.maximally_mixed(q.SystemShape((2, 2, 2)))))
@@ -109,6 +123,11 @@ class TestInvariants2:
         assert len(NAMES2) == len(DEGREES2) == 14
         assert MINIMAL2 == 10
         assert NAMES2[:3] == ("trX1", "trX2", "detR")
+        assert NAMES2 == (
+            "trX1", "trX2", "detR", "A2", "A4", "A6", "mix1", "mix2", "mix3", "A9",
+            "B2", "B4", "B6", "B9",
+        )
+        assert DEGREES2 == (2, 4, 3, 2, 4, 6, 3, 5, 7, 9, 2, 4, 6, 9)
 
     def test_bell_values(self, bell):
         inv = q.invariants2(q.expand(bell))
@@ -183,6 +202,17 @@ def test_boolean_n_in_invariant_payload_is_parse_error():
     payload = {"n": True, "names": ["I", "purity"], "values": [0.1, 0.7]}
     with pytest.raises(ParseError, match="field 'n' must be 1, 2, or 3"):
         invariant_payload_to_values(payload)
+    for n, names in ((2.0, NAMES2), (3.0, NAMES3)):
+        floated = {"n": n, "names": list(names), "values": [0.0] * len(names)}
+        with pytest.raises(ParseError, match="field 'n' must be 1, 2, or 3"):
+            invariant_payload_to_values(floated)
     payload["n"] = 1
     n, values = invariant_payload_to_values(payload)
     assert n == 1 and list(values) == [0.1, 0.7]
+
+
+@pytest.mark.parametrize("n, names", [(1, ()), (1, ("I",)), (2, ()), (2, NAMES2[:3]), (2, NAMES2[:13])])
+def test_truncated_invariant_names_are_parse_error(n, names):
+    payload = {"n": n, "names": list(names), "values": [0.0] * len(names)}
+    with pytest.raises(ParseError, match="invariant names do not match the canonical list"):
+        invariant_payload_to_values(payload)

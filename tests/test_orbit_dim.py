@@ -177,12 +177,18 @@ class TestContractedFrame:
         rho = q.random_state(q.SystemShape(dims), rank=rank, seed=21)
         assert np.array_equal(q.tangent_frame(rho).vectors, kron_frame(rho))
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_generators_have_one_nonzero_per_row_and_column(self, d):
+        # _contract reads one nonzero per row of t and of t^T.
+        for t in generator_basis(d).generators:
+            nonzero = t != 0
+            assert nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1
+
     def test_contraction_sums_every_nonzero(self):
-        # Gell-Mann generators have one nonzero per row; a dense t takes the summing path.
+        # A generator's shape: one nonzero in each row but the empty row 2.
         rng = np.random.default_rng(25)
-        t = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        t[1, 2] = 0.0
-        t[2] = 0.0
+        t = np.zeros((3, 3), dtype=complex)
+        t[0, 2], t[1, 0] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         src = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
         dst = np.full_like(src, np.nan)
         orbit_dim._contract(orbit_dim._rows(t), src, dst)

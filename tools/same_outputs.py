@@ -16,7 +16,10 @@ error each call raised).
 ``cli`` hashes, for ``fingerprint_files(seed, 100)`` with seeds 1-2, the
 stdout, stderr and exit code of ``invariants``, ``canonical`` and
 ``expand`` (each plain and ``--json``), and of ``reconstruct`` (plain and
-``--json``) on every invariants file written with exit code 0.
+``--json``) on every invariants file written with exit code 0. It then
+hashes the same for 20 seeded 1-qubit and 20 seeded 2-qubit states, every
+rank in turn: ``invariants`` plain and ``--json`` (for two qubits also
+with ``--set minimal``), ``expand --json`` and ``canonical --json``.
 
 ``orbit`` hashes, for ``orbit_dim_shapes(seed)`` with seeds 1-2, the
 ``orbit_dimension`` singular-value bytes and dimension of every shape,
@@ -72,7 +75,6 @@ def library_digest() -> str:
             verdict = qorbit.decide(rho1, rho2)
             digest.update(repr(verdict).encode())
             digest.update(repr(verdict.payload()).encode())
-            fingerprint = qorbit.invariants3 if item["n"] == 3 else qorbit.invariants2
             for rho in (rho1, rho2):
                 t = qorbit.expand(rho)
                 point = _call(digest, qorbit.canonicalize, t)
@@ -81,7 +83,7 @@ def library_digest() -> str:
                     for o in point.gauge.mats:
                         digest.update(o.tobytes())
                     digest.update(repr(point.report).encode())
-                inv = _call(digest, fingerprint, t)
+                inv = _call(digest, qorbit.invariants.fingerprint, t)
                 if inv is not None:
                     digest.update(inv.values.tobytes())
     return digest.hexdigest()
@@ -114,6 +116,17 @@ def cli_digest() -> str:
                                 fh.write(out)
                             _cli(digest, "reconstruct", inv)
                             _cli(digest, "reconstruct", inv, "--json")
+            rng = np.random.default_rng(15)
+            for n in (1, 2):
+                sets = ((), ("--set", "minimal")) if n == 2 else ((),)
+                for i in range(20):
+                    state = f"small_{n}_{i}.json"
+                    corpus.write_state(state, corpus.random_density(rng, 2**n, 1 + i % 2**n), (2,) * n)
+                    for extra in sets:
+                        _cli(digest, "invariants", state, *extra)
+                        _cli(digest, "invariants", state, *extra, "--json")
+                    _cli(digest, "expand", state, "--json")
+                    _cli(digest, "canonical", state, "--json")
         finally:
             os.chdir(cwd)
     return digest.hexdigest()
