@@ -99,19 +99,56 @@ class BlochTensor:
         return float(np.abs(self.flatten()).max())
 
 
-def _contract(arr: np.ndarray, mats, sites: tuple) -> np.ndarray:
-    """Contract ``mats[sites[k]]`` into axis k of ``arr``, one matrix per axis.
+def _parts(t: BlochTensor) -> dict:
+    """The components of one tensor as a batch of one: name -> (1, 3, ...) array."""
+    return {name: arr[None] for name, arr in t.component_items()}
 
-    Rotating a component and inverting its mixed invariants are both this
-    product; each rank keeps one fixed numpy call so the result is
+
+def _split(coeffs: np.ndarray, n: int) -> dict:
+    """Flat coefficient rows (B, size) as contiguous (B, 3, ...) component arrays."""
+    parts, start = {}, 0
+    for name, sites in _components(n):
+        stop = start + 3 ** len(sites)
+        parts[name] = np.ascontiguousarray(coeffs[:, start:stop]).reshape((-1,) + _SHAPES[name])
+        start = stop
+    return parts
+
+
+def _flat(parts: dict) -> np.ndarray:
+    """The components of a batch as flat coefficient rows (B, size), in flatten() order."""
+    return np.concatenate([arr.reshape(len(arr), -1) for arr in parts.values()], axis=1)
+
+
+def _tensor(parts: dict, n: int, b: int) -> BlochTensor:
+    """Member ``b`` of a batch of components as a tensor."""
+    return BlochTensor(n=n, **{name: arr[b] for name, arr in parts.items()})
+
+
+def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Matrix-vector products of stacks (..., 3, 3) and (..., 3)."""
+    return (mats @ vecs[..., None])[..., 0]
+
+
+def _contract(arr: np.ndarray, mats, sites: tuple) -> np.ndarray:
+    """Contract ``mats[sites[k]]`` into axis k + 1 of ``arr``, one matrix per axis.
+
+    ``arr`` is a batch (B, 3, ...) and each ``mats[site]`` a (B, 3, 3)
+    stack. Rotating a component and inverting its mixed invariants are both
+    this product; each rank keeps one fixed numpy call, which treats every
+    batch member as it would treat that member alone, so the result is
     reproducible bit for bit.
     """
     rank = len(sites)
     if rank == 1:
-        return mats[sites[0]] @ arr
+        return _mv(mats[sites[0]], arr)
     if rank == 2:
-        return mats[sites[0]] @ arr @ mats[sites[1]].T
-    return np.einsum("im,jn,kp,mnp->ijk", mats[sites[0]], mats[sites[1]], mats[sites[2]], arr)
+        return mats[sites[0]] @ arr @ mats[sites[1]].swapaxes(1, 2)
+    return np.einsum("zim,zjn,zkp,zmnp->zijk", mats[sites[0]], mats[sites[1]], mats[sites[2]], arr)
+
+
+def _rotate(parts: dict, mats) -> dict:
+    """Every component of a batch with its sites' rotations contracted into its axes."""
+    return {name: _contract(arr, mats, _SITES[3][name]) for name, arr in parts.items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -138,26 +175,31 @@ def _flat_words(n: int) -> np.ndarray:
     return flat
 
 
-def expand(rho: DensityMatrix) -> BlochTensor:
-    """Expand a 1-, 2-, or 3-qubit state in the tensor-product Pauli basis.
+def _expand(mats: np.ndarray, n: int) -> np.ndarray:
+    """Flat Pauli coefficients (B, size) of a stack of (B, 2^n, 2^n) matrices.
 
     Each coefficient is tr(rho W) / 2^n for the corresponding Pauli word W.
     Imaginary residues beyond ``IMAG_RESIDUE_TOL`` (impossible for a validated
-    Hermitian input) raise rather than being silently dropped.
+    Hermitian input) raise rather than being silently dropped, the first
+    member's before the second's.
     """
+    raw = np.einsum("wab,zba->zw", _flat_words(n), mats) / 2**n
+    for residue in np.abs(raw.imag).max(axis=1).tolist():
+        if residue > IMAG_RESIDUE_TOL:
+            raise NumericalError(
+                f"expansion coefficient has imaginary residue {residue:.3e}"
+            )
+    return raw.real
+
+
+def expand(rho: DensityMatrix) -> BlochTensor:
+    """Expand a 1-, 2-, or 3-qubit state in the tensor-product Pauli basis (see ``_expand``)."""
     shape = rho.shape
     if not shape.is_qubits or shape.n > 3:
         raise UnsupportedShape(
             f"Pauli expansion covers 1-3 qubits, got shape {shape}"
         )
-    n = shape.n
-    raw = np.einsum("wab,ba->w", _flat_words(n), rho.matrix) / 2**n
-    residue = float(np.abs(raw.imag).max())
-    if residue > IMAG_RESIDUE_TOL:
-        raise NumericalError(
-            f"expansion coefficient has imaginary residue {residue:.3e}"
-        )
-    return BlochTensor.from_flat(n, raw.real)
+    return BlochTensor.from_flat(shape.n, _expand(rho.matrix[None], shape.n)[0])
 
 
 def reconstruct(t: BlochTensor) -> DensityMatrix:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochTensor, bloch_payload
-from .errors import UnsupportedShape
-from .invariants import GramTriple, _sign_invariant, gram
-from .local_action import RotationTriple, transform_bloch
+from .bloch import BlochTensor, _mv, _parts, _rotate, _tensor, bloch_payload
+from .errors import UnsupportedShape, _raise_first
+from .invariants import _eigen, _gram_mats, _top, _triple_product
+from .local_action import RotationTriple, _rotation_errors
 from .tolerances import COMPONENT_TOL, EIGENGAP_RTOL, KLEIN_SIGN_RTOL, SIGN_INVARIANT_TOL
 
 KLEIN = (
@@ -37,6 +37,7 @@ _KLEIN_DIAGONALS = tuple(tuple(np.diag(k).tolist()) for k in KLEIN)
 # The diagonals of the first and second factor of each KLEIN x KLEIN pair, in product order.
 _KLEIN_FIRST = np.repeat(_KLEIN_DIAGONALS, 4, axis=0)
 _KLEIN_SECOND = np.tile(_KLEIN_DIAGONALS, (4, 1))
+_KLEIN_STACK = np.array(KLEIN)
 
 
 @dataclass(frozen=True)
@@ -76,43 +77,46 @@ class CanonicalPoint:
     report: GenericityReport
 
 
-def _gap_and_trace(spectrum: np.ndarray) -> tuple[float, float]:
+def _gap_and_trace(s0: float, s1: float, s2: float) -> tuple[float, float]:
     """The smallest gap and the trace of a decreasing 3-spectrum."""
-    s0, s1, s2 = spectrum.tolist()
     # np.sum's order, signed zeros included
     return min(s0 - s1, s1 - s2), 0.0 + s0 + s1 + s2
 
 
-def _report_from_gram(g: GramTriple, vectors: list[np.ndarray]) -> GenericityReport:
-    """Margins from Gram eigen data plus site vectors in eigenframe gauge."""
-    n = g.n
-    gaps: list[float | None] = [None, None, None]
-    traces: list[float | None] = [None, None, None]
-    mins: list[float | None] = [None, None, None]
-    signs: list[float | None] = [None, None, None]
-    generic = True
-    for site in range(n):
-        gaps[site], traces[site] = _gap_and_trace(g.spectra[site])
-        mins[site] = min(map(abs, vectors[site].tolist()))
-        signs[site] = abs(_sign_invariant(vectors[site], np.diag(g.spectra[site])))
-        generic = generic and (
-            gaps[site] > EIGENGAP_RTOL * traces[site]
-            and mins[site] > COMPONENT_TOL
-            and signs[site] > SIGN_INVARIANT_TOL
-        )
-    return GenericityReport(
-        n=n,
-        eigengaps=tuple(gaps),
-        gram_traces=tuple(traces),
-        min_components=tuple(mins),
-        sign_invariants=tuple(signs),
-        generic=generic,
-    )
+def _reports(spectra: np.ndarray, vecs: np.ndarray) -> list[GenericityReport]:
+    """One report per batch member from site-major Gram spectra (n, B, 3) and site
+    vectors in eigenframe gauge (n, B, 3)."""
+    n = len(spectra)
+    # The sign invariant of v under diag(s), with diag(s) v taken as s * v: the
+    # matrix product only adds exact zeros, which can change the sign of a zero
+    # result and nothing else, and abs() drops that sign.
+    signs = np.abs(_triple_product(np.stack((vecs, spectra * vecs, spectra * (spectra * vecs)), axis=-2)))
+    reports = []
+    for member in zip(spectra.swapaxes(0, 1).tolist(), vecs.swapaxes(0, 1).tolist(), signs.T.tolist()):
+        gaps, traces, mins = [None] * 3, [None] * 3, [None] * 3
+        generic = True
+        for site, (spectrum, vec, sign) in enumerate(zip(*member)):
+            gaps[site], traces[site] = _gap_and_trace(*spectrum)
+            mins[site] = min(map(abs, vec))
+            generic = generic and (
+                gaps[site] > EIGENGAP_RTOL * traces[site]
+                and mins[site] > COMPONENT_TOL
+                and sign > SIGN_INVARIANT_TOL
+            )
+        reports.append(GenericityReport(
+            n=n,
+            eigengaps=tuple(gaps),
+            gram_traces=tuple(traces),
+            min_components=tuple(mins),
+            sign_invariants=tuple(member[2]) + (None,) * (3 - n),
+            generic=generic,
+        ))
+    return reports
 
 
-def _frame_vectors(t: BlochTensor, g: GramTriple) -> list[np.ndarray]:
-    """Site vectors rotated into their Gram eigenframes."""
-    return [f.T @ v for f, v in zip(g.frames, (t.alpha, t.beta, t.gamma))]
+def _site_vectors(parts: dict, n: int) -> np.ndarray:
+    """The site vectors of a batch, site-major (n, B, 3)."""
+    return np.array([parts[name] for name in ("alpha", "beta", "gamma")[:n]])
 
 
 def genericity(t: BlochTensor) -> GenericityReport:
@@ -124,8 +128,9 @@ def genericity(t: BlochTensor) -> GenericityReport:
     """
     if t.n not in (2, 3):
         raise UnsupportedShape(f"genericity is defined for n=2 or 3, got n={t.n}")
-    g = gram(t)
-    return _report_from_gram(g, _frame_vectors(t, g))
+    spectra, frames, errors = _eigen(_gram_mats(_top(t)))
+    _raise_first(errors)
+    return _reports(spectra, _mv(frames.swapaxes(-1, -2), _site_vectors(_parts(t), t.n)))[0]
 
 
 def _signs(vec, tol: float) -> tuple[float, ...]:
@@ -149,29 +154,28 @@ def _uniform_sign_element(vec: np.ndarray) -> np.ndarray:
     raise AssertionError("unreachable: some Klein element always aligns signs")
 
 
-def canonicalize3(t: BlochTensor) -> CanonicalPoint:
-    """Move a three-qubit tensor to the canonical point of its orbit.
+def _canonical3(parts: dict, g: np.ndarray):
+    """The canonical gauge of a batch of three-qubit tensors with Gram stack g (3, B, 3, 3).
 
     Diagonalizes the three Gram matrices by per-site special orthogonal
     eigenframes (eigenvalues decreasing), then applies the per-site Klein
-    element that makes alpha, beta, gamma each uniform in sign. Orbit
-    uniqueness holds on generic inputs; otherwise the best-effort point is
-    returned with ``generic = False`` in the report.
+    element that makes alpha, beta, gamma each uniform in sign. Returns
+    the canonical components, the site-major gauge (3, B, 3, 3), one report
+    per member and the first error of each member (None if it passes).
     """
-    if t.n != 3:
-        raise UnsupportedShape(f"canonicalize3 needs n=3, got n={t.n}")
-    g = gram(t)
-    klein = [_uniform_sign_element(v) for v in _frame_vectors(t, g)]
+    spectra, frames, errors = _eigen(g)
+    to_frame = frames.swapaxes(-1, -2)
+    klein = np.array([_uniform_sign_element(v) for v in _mv(to_frame, _site_vectors(parts, 3)).reshape(-1, 3)])
     # One composed transform, so replaying the gauge reproduces the
     # canonical tensor bit for bit.
-    gauge = RotationTriple(tuple(k @ f.T for k, f in zip(klein, g.frames)))
-    canonical = transform_bloch(t, gauge)
-    report = _report_from_gram(g, [canonical.alpha, canonical.beta, canonical.gamma])
-    return CanonicalPoint(tensor=canonical, gauge=gauge, report=report)
+    gauge = klein.reshape(g.shape) @ to_frame
+    errors = [e or r for e, r in zip(errors, _rotation_errors(gauge))]
+    canonical = _rotate(parts, gauge)
+    return canonical, gauge, _reports(spectra, _site_vectors(canonical, 3)), errors
 
 
-def canonicalize2(t: BlochTensor) -> CanonicalPoint:
-    """Move a two-qubit tensor to the canonical point of its orbit.
+def _canonical2(parts: dict):
+    """The canonical gauge of a batch of two-qubit tensors, returned as by ``_canonical3``.
 
     The pair matrix is diagonalized by a signed SVD with both factors in
     SO(3) (any sign deficit is pushed into the last diagonal entry, so the
@@ -180,28 +184,70 @@ def canonicalize2(t: BlochTensor) -> CanonicalPoint:
     key (sign pattern of alpha, of beta, of the diagonal) over all 16
     elements, the first in element order on ties.
     """
+    u, _, vt = np.linalg.svd(parts["pair_12"])
+    # C-ordered rotations, as RotationTriple holds them, so the SVD point's
+    # blocks below carry the canonical tensor's bits.
+    r1 = np.ascontiguousarray((u @ _last_sign(u)).swapaxes(1, 2))
+    r2 = np.ascontiguousarray((vt.swapaxes(1, 2) @ _last_sign(vt)).swapaxes(1, 2))
+    alpha, beta, pair = _mv(r1, parts["alpha"]), _mv(r2, parts["beta"]), r1 @ parts["pair_12"] @ r2.swapaxes(1, 2)
+    b = len(pair)
+    scales = np.abs(np.concatenate((alpha, beta, pair.reshape(b, 9)), axis=1)).max(axis=1).tolist()
+    keys = []
+    for a, be, d, scale in zip(alpha.tolist(), beta.tolist(), np.diagonal(pair, axis1=1, axis2=2).tolist(), scales):
+        tol = KLEIN_SIGN_RTOL * (1.0 + scale)
+        sa, sb, sd = (np.array(_signs(v, tol)) for v in (a, be, d))
+        keys.append(np.hstack((_KLEIN_FIRST * sa, _KLEIN_SECOND * sb, _KLEIN_FIRST * _KLEIN_SECOND * sd)))
+    # Klein elements flip signs exactly, so row 4i + j of a member's keys holds
+    # the key of (KLEIN[i], KLEIN[j]). lexsort is stable and sorts by its last
+    # key first, so its [0] is the first smallest key.
+    best = np.lexsort(np.array(keys).transpose(2, 0, 1)[::-1], axis=-1)[:, 0]
+    gauge = np.array((_KLEIN_STACK[best // 4] @ r1, _KLEIN_STACK[best % 4] @ r2))
+    rotation_errors = _rotation_errors(gauge)
+    canonical = _rotate(parts, gauge)
+    spectra, _, errors = _eigen(_gram_mats(canonical["pair_12"]))
+    errors = [r or e for r, e in zip(rotation_errors, errors)]
+    return canonical, gauge, _reports(spectra, _site_vectors(canonical, 2)), errors
+
+
+def _last_sign(f: np.ndarray) -> np.ndarray:
+    """diag(1, 1, sign det f) per member of a stack, with sign 0 read as 1."""
+    d = np.zeros(f.shape)
+    d[:, 0, 0] = d[:, 1, 1] = 1.0
+    sign = np.sign(np.linalg.det(f))
+    d[:, 2, 2] = np.where(sign == 0.0, 1.0, sign)
+    return d
+
+
+def _canonical(parts: dict, n: int, g: np.ndarray | None = None):
+    """Dispatch a batch to ``_canonical2`` or ``_canonical3``; g is the Gram stack when known."""
+    if n == 2:
+        return _canonical2(parts)
+    return _canonical3(parts, _gram_mats(parts["triple"]) if g is None else g)
+
+
+def _point(t: BlochTensor) -> CanonicalPoint:
+    canonical, gauge, reports, errors = _canonical(_parts(t), t.n)
+    _raise_first(errors)
+    return CanonicalPoint(tensor=_tensor(canonical, t.n, 0), gauge=RotationTriple._checked(gauge[:, 0]),
+                          report=reports[0])
+
+
+def canonicalize3(t: BlochTensor) -> CanonicalPoint:
+    """Move a three-qubit tensor to the canonical point of its orbit (see ``_canonical3``).
+
+    Orbit uniqueness holds on generic inputs; otherwise the best-effort
+    point is returned with ``generic = False`` in the report.
+    """
+    if t.n != 3:
+        raise UnsupportedShape(f"canonicalize3 needs n=3, got n={t.n}")
+    return _point(t)
+
+
+def canonicalize2(t: BlochTensor) -> CanonicalPoint:
+    """Move a two-qubit tensor to the canonical point of its orbit (see ``_canonical2``)."""
     if t.n != 2:
         raise UnsupportedShape(f"canonicalize2 needs n=2, got n={t.n}")
-    u, s, vt = np.linalg.svd(t.pair_12)
-    du = float(np.sign(np.linalg.det(u))) or 1.0
-    dv = float(np.sign(np.linalg.det(vt))) or 1.0
-    # C-ordered copies, as RotationTriple holds them, so the SVD point's
-    # blocks below carry transform_bloch's bits.
-    r1 = np.array((u @ np.diag([1.0, 1.0, du])).T)
-    r2 = np.array((vt.T @ np.diag([1.0, 1.0, dv])).T)
-    alpha, beta, pair = r1 @ t.alpha, r2 @ t.beta, r1 @ t.pair_12 @ r2.T
-    tol = KLEIN_SIGN_RTOL * (1.0 + float(np.abs(np.concatenate((alpha, beta, pair), axis=None)).max()))
-    sa, sb, sd = (np.array(_signs(v, tol)) for v in (alpha, beta, np.diag(pair)))
-    # Klein elements flip signs exactly, so row 4i + j holds the key of
-    # (KLEIN[i], KLEIN[j]). lexsort is stable and sorts by its last key
-    # first, so its [0] is the first smallest key.
-    keys = np.hstack((_KLEIN_FIRST * sa, _KLEIN_SECOND * sb, _KLEIN_FIRST * _KLEIN_SECOND * sd))
-    best = int(np.lexsort(keys.T[::-1])[0])
-    gauge = RotationTriple((KLEIN[best // 4] @ r1, KLEIN[best % 4] @ r2))
-    canonical = transform_bloch(t, gauge)
-    g = gram(canonical)
-    report = _report_from_gram(g, [canonical.alpha, canonical.beta])
-    return CanonicalPoint(tensor=canonical, gauge=gauge, report=report)
+    return _point(t)
 
 
 def canonicalize(t: BlochTensor) -> CanonicalPoint:

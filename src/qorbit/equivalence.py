@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .bloch import PAULI, expand
-from .canonical import GenericityReport, canonicalize
-from .errors import ShapeMismatch, UnsupportedShape, ValidationError
-from .invariants import coefficient_scale, fingerprint, first_disagreement
+from .bloch import PAULI, _expand, _flat, _split
+from .canonical import GenericityReport, _canonical
+from .errors import ShapeMismatch, UnsupportedShape, ValidationError, _raise_first
+from .invariants import _fingerprint, _gram_mats, coefficient_scale, first_disagreement
 from .local_action import LocalUnitary
 from .states import DensityMatrix, _rng
 from .tolerances import (
@@ -88,7 +88,7 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
     """
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ValidationError(f"comparison tolerance must be finite and >= 0, got {rtol!r}")
-    _check_pair(rho1, rho2)
+    n = _check_pair(rho1, rho2)
 
     entry_scale = max(float(np.abs(rho1.matrix).max()), float(np.abs(rho2.matrix).max()))
     ident_dev = float(np.abs(rho1.matrix - rho2.matrix).max())
@@ -105,30 +105,34 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
             witness=Witness("spectrum", None, spec_diff),
         )
 
-    t1, t2 = expand(rho1), expand(rho2)
-    set1 = fingerprint(t1)
-    inv1, inv2 = set1.values, fingerprint(t2).values
-    scale = coefficient_scale(t1, t2)
-    bad = first_disagreement(inv1, inv2, set1.DEGREES, scale, rtol=rtol)
+    # Both states as one batch of two: each state's Gram matrices feed both
+    # its invariants and its canonical gauge.
+    coeffs = _expand(np.array((rho1.matrix, rho2.matrix)), n)
+    parts = _split(coeffs, n)
+    g = _gram_mats(parts["triple"] if n == 3 else parts["pair_12"])
+    family, (inv1, inv2) = _fingerprint(parts, g, n)
+    bad = first_disagreement(inv1, inv2, family.DEGREES, coefficient_scale(coeffs), rtol=rtol)
     if bad is not None:
         return EquivalenceVerdict(
             verdict="distinct",
             witness=Witness(
-                set1.NAMES[bad],
+                family.NAMES[bad],
                 (float(inv1[bad]), float(inv2[bad])),
                 float(abs(inv1[bad] - inv2[bad])),
             ),
         )
 
-    c1, c2 = canonicalize(t1), canonicalize(t2)
-    reports = (c1.report, c2.report)
+    canonical, _, reports, errors = _canonical(parts, n, g)
+    _raise_first(errors)
+    reports = tuple(reports)
     if not (reports[0].generic and reports[1].generic):
         return EquivalenceVerdict(
             verdict="inconclusive",
             witness=Witness("non-generic", None, 0.0),
             genericity=reports,
         )
-    deviation = float(np.abs(c1.tensor.flatten() - c2.tensor.flatten()).max())
+    points = _flat(canonical)
+    deviation = float(np.abs(points[0] - points[1]).max())
     # Matching invariants with distant canonical points are numerically
     # contradictory data: refuse to guess.
     return EquivalenceVerdict(

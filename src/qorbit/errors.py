@@ -84,3 +84,11 @@ class SingularSystem(NumericalError):
 
 class ConstraintViolation(NumericalError):
     """Recovered data violates a consistency constraint it must satisfy."""
+
+
+def _raise_first(errors) -> None:
+    """Raise the first error of a batch's per-member errors (None where a member passed),
+    so member 1's error comes before member 2's."""
+    for error in errors:
+        if error is not None:
+            raise error

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .bloch import BlochTensor, reconstruct
-from .errors import NumericalError, ParseError, UnsupportedShape
+from .bloch import BlochTensor, _mv, _parts, reconstruct
+from .errors import NumericalError, ParseError, UnsupportedShape, _raise_first
 from .tolerances import (
     COEFFICIENT_SCALE_FLOOR, COMPARE_ABS_FLOOR, COMPARE_RTOL, GRAM_PAIR_SPECTRA_TOL, GRAM_PSD_TOL,
     PURITY_IDENTITY_TOL,
@@ -55,6 +55,9 @@ NAMES2, DEGREES2 = map(tuple, zip(*_FAMILY2))
 
 MINIMAL2 = 10
 
+# Cross product index order: (b x c)_i = b[_NEXT[i]] c[_LAST[i]] - b[_LAST[i]] c[_NEXT[i]].
+_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
+
 
 @dataclass(frozen=True)
 class GramTriple:
@@ -72,15 +75,47 @@ class GramTriple:
     frames: tuple[np.ndarray, ...]
 
 
-def _gram_mats(top: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-site Gram matrices: two of a 3x3 pair matrix, three of a 3x3x3 triple."""
-    if top.ndim == 2:
-        return top @ top.T, top.T @ top
-    return (
-        np.einsum("ijk,ljk->il", top, top),
-        np.einsum("ijk,ilk->jl", top, top),
-        np.einsum("ijk,ijl->kl", top, top),
-    )
+def _gram_mats(top: np.ndarray) -> np.ndarray:
+    """Per-site Gram matrices of a batch of top-rank tensors, site-major (n, B, 3, 3).
+
+    Two of a (B, 3, 3) pair matrix, three of a (B, 3, 3, 3) triple tensor.
+    """
+    if top.ndim == 3:
+        return np.array((top @ top.swapaxes(1, 2), top.swapaxes(1, 2) @ top))
+    return np.array((
+        np.einsum("zijk,zljk->zil", top, top),
+        np.einsum("zijk,zilk->zjl", top, top),
+        np.einsum("zijk,zijl->zkl", top, top),
+    ))
+
+
+def _eigen(mats: np.ndarray):
+    """Decreasing spectra (n, B, 3) and det-+1 eigenframes (n, B, 3, 3) of a site-major
+    Gram stack, with the error each batch member raises (None if it passes)."""
+    # One stacked eigh and det: LAPACK still factors each matrix on its own.
+    vals, vecs = np.linalg.eigh(mats)
+    spectra = vals[..., ::-1].copy()
+    frames = vecs[..., ::-1].copy()
+    frames[..., -1] *= np.where(np.linalg.det(frames) < 0, -1.0, 1.0)[..., None]
+    lows = spectra[..., -1].T.tolist()
+    # The two 2-qubit Gram matrices share a spectrum; three 3-qubit ones need not.
+    pair_devs = np.abs(spectra[0] - spectra[1]).max(axis=1).tolist() if len(mats) == 2 else [0.0] * len(lows)
+    errors = []
+    for member_lows, pair_dev in zip(lows, pair_devs):
+        low = next((low for low in member_lows if low < GRAM_PSD_TOL), None)
+        if low is not None:
+            errors.append(NumericalError(f"Gram matrix has negative eigenvalue {low:.3e}"))
+        elif pair_dev > GRAM_PAIR_SPECTRA_TOL:
+            errors.append(NumericalError(f"two-qubit Gram spectra disagree beyond {GRAM_PAIR_SPECTRA_TOL:.0e}"))
+        else:
+            errors.append(None)
+    return spectra, frames, errors
+
+
+def _top(t: BlochTensor) -> np.ndarray:
+    if t.n not in (2, 3):
+        raise UnsupportedShape(f"Gram matrices are defined for n=2 or 3, got n={t.n}")
+    return (t.triple if t.n == 3 else t.pair_12)[None]
 
 
 def gram(t: BlochTensor) -> GramTriple:
@@ -91,46 +126,61 @@ def gram(t: BlochTensor) -> GramTriple:
     The invariant families use the matrices alone; the eigenframes and
     spectra serve the canonical gauge and the genericity margins.
     """
-    if t.n not in (2, 3):
-        raise UnsupportedShape(f"Gram matrices are defined for n=2 or 3, got n={t.n}")
-    mats = _gram_mats(t.triple if t.n == 3 else t.pair_12)
-    # One stacked eigh and det: LAPACK still factors each matrix on its own.
-    vals, vecs = np.linalg.eigh(np.array(mats))
-    spectra = vals[:, ::-1].copy()
-    frames = vecs[:, :, ::-1].copy()
-    for frame, det in zip(frames, np.linalg.det(frames).tolist()):
-        if det < 0:
-            frame[:, -1] *= -1.0
-    for low in spectra[:, -1].tolist():
-        if low < GRAM_PSD_TOL:
-            raise NumericalError(f"Gram matrix has negative eigenvalue {low:.3e}")
-    if t.n == 2 and np.abs(spectra[0] - spectra[1]).max() > GRAM_PAIR_SPECTRA_TOL:
-        raise NumericalError(f"two-qubit Gram spectra disagree beyond {GRAM_PAIR_SPECTRA_TOL:.0e}")
-    return GramTriple(n=t.n, mats=tuple(mats), spectra=tuple(spectra), frames=tuple(frames))
+    mats = _gram_mats(_top(t))
+    spectra, frames, errors = _eigen(mats)
+    _raise_first(errors)
+    return GramTriple(n=t.n, mats=tuple(mats[:, 0]), spectra=tuple(spectra[:, 0]), frames=tuple(frames[:, 0]))
 
 
-def _power_vectors(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Rows (vec, mat vec, mat^2 vec)."""
-    pv = np.empty((3, 3))
-    pv[0] = vec
-    np.matmul(mat, vec, out=pv[1])
-    np.matmul(mat, pv[1], out=pv[2])
+def _power_vectors(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Rows (v, M v, M^2 v) for stacks of matrices (..., 3, 3) and vectors (..., 3)."""
+    pv = np.empty(vecs.shape[:-1] + (3, 3))
+    pv[..., 0, :] = vecs
+    np.matmul(mats, vecs[..., None], out=pv[..., 1, :, None])
+    np.matmul(mats, pv[..., 1, :, None], out=pv[..., 2, :, None])
     return pv
 
 
-def _triple_product(pv: np.ndarray) -> float:
-    """pv[0] . (pv[1] x pv[2]), the cross product rounded exactly as np.cross rounds it."""
-    (b0, b1, b2), (c0, c1, c2) = pv[1:].tolist()
-    return float(np.dot(pv[0], [b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0]))
+def _triple_product(pv: np.ndarray) -> np.ndarray:
+    """pv[0] . (pv[1] x pv[2]) over the last two axes: the cross product rounded exactly as
+    np.cross rounds it, the dot product summed as np.dot sums it."""
+    nxt, lst = pv[..., 1:, _NEXT], pv[..., 1:, _LAST]
+    cross = nxt[..., 0, :] * lst[..., 1, :] - lst[..., 0, :] * nxt[..., 1, :]
+    return (pv[..., :1, :] @ cross[..., None])[..., 0, 0]
 
 
-def _sign_invariant(vec: np.ndarray, mat: np.ndarray) -> float:
-    return _triple_product(_power_vectors(mat, vec))
+def _trace_powers(mats: np.ndarray) -> np.ndarray:
+    """tr M, tr M^2, tr M^3 of a stack (..., 3, 3), along a new first axis."""
+    m2 = mats @ mats
+    return np.trace(np.array((mats, m2, m2 @ mats)), axis1=-2, axis2=-1)
 
 
-def _trace_powers(mat: np.ndarray) -> list[float]:
-    m2 = mat @ mat
-    return [float(mat.trace()), float(m2.trace()), float((m2 @ mat).trace())]
+def _values3(parts: dict, g: np.ndarray) -> np.ndarray:
+    """The 75 three-qubit invariants (B, 75) of a batch, from its Gram stack (3, B, 3, 3)."""
+    vecs = np.array((parts["alpha"], parts["beta"], parts["gamma"]))
+    av, bv, cv = pv = _power_vectors(g, vecs)
+    b = len(vecs[0])
+    return np.concatenate([
+        _trace_powers(g).transpose(2, 1, 0).reshape(b, 9),
+        _mv(pv, vecs).swapaxes(0, 1).reshape(b, 9),
+        _triple_product(pv).T,
+        (av @ parts["pair_12"] @ bv.swapaxes(1, 2)).reshape(b, 9),
+        (av @ parts["pair_13"] @ cv.swapaxes(1, 2)).reshape(b, 9),
+        (bv @ parts["pair_23"] @ cv.swapaxes(1, 2)).reshape(b, 9),
+        np.einsum("zri,zsj,ztk,zijk->zrst", av, bv, cv, parts["triple"]).reshape(b, 27),
+    ], axis=1)
+
+
+def _values2(parts: dict, g: np.ndarray) -> np.ndarray:
+    """The fourteen two-qubit invariants (B, 14) of a batch, from its Gram stack (2, B, 3, 3)."""
+    r, alpha, beta = parts["pair_12"], parts["alpha"], parts["beta"]
+    av, bv = pv = _power_vectors(g, np.array((alpha, beta)))
+    signs = _triple_product(pv)[..., None]
+    return np.concatenate([
+        _trace_powers(g[0])[:2].T, np.linalg.det(r)[:, None],
+        _mv(av, alpha), _mv(av, _mv(r, beta)), signs[0],
+        _mv(bv, beta), signs[1],
+    ], axis=1)
 
 
 @dataclass(frozen=True)
@@ -187,44 +237,23 @@ class InvariantSet2(_InvariantSet):
         return self._payload(self.NAMES[:MINIMAL2] if minimal else self.NAMES)
 
 
+def _fingerprint(parts: dict, g: np.ndarray, n: int):
+    """The family ``decide`` compares and its values (B, len) for a batch with Gram stack g."""
+    return (InvariantSet2, _values2(parts, g)) if n == 2 else (InvariantSet3, _values3(parts, g))
+
+
 def invariants3(t: BlochTensor) -> InvariantSet3:
     """Evaluate all 75 three-qubit invariants in the canonical order."""
     if t.n != 3:
         raise UnsupportedShape(f"invariants3 needs n=3, got n={t.n}")
-    x, y, z = _gram_mats(t.triple)
-    av = _power_vectors(x, t.alpha)
-    bv = _power_vectors(y, t.beta)
-    cv = _power_vectors(z, t.gamma)
-    values = np.concatenate([
-        _trace_powers(x), _trace_powers(y), _trace_powers(z),
-        av @ t.alpha, bv @ t.beta, cv @ t.gamma,
-        [_triple_product(av), _triple_product(bv), _triple_product(cv)],
-        (av @ t.pair_12 @ bv.T).ravel(),
-        (av @ t.pair_13 @ cv.T).ravel(),
-        (bv @ t.pair_23 @ cv.T).ravel(),
-        np.einsum("ri,sj,tk,ijk->rst", av, bv, cv, t.triple).ravel(),
-    ])
-    return InvariantSet3(values)
+    return InvariantSet3(_values3(_parts(t), _gram_mats(t.triple[None]))[0])
 
 
 def invariants2(t: BlochTensor) -> InvariantSet2:
     """Evaluate the two-qubit invariants in the canonical order."""
     if t.n != 2:
         raise UnsupportedShape(f"invariants2 needs n=2, got n={t.n}")
-    r = t.pair_12
-    x, y = _gram_mats(r)
-    av = _power_vectors(x, t.alpha)
-    bv = _power_vectors(y, t.beta)
-    tr = _trace_powers(x)
-    values = np.concatenate([
-        [tr[0], tr[1], float(np.linalg.det(r))],
-        av @ t.alpha,
-        av @ (r @ t.beta),
-        [_triple_product(av)],
-        bv @ t.beta,
-        [_triple_product(bv)],
-    ])
-    return InvariantSet2(values)
+    return InvariantSet2(_values2(_parts(t), _gram_mats(t.pair_12[None]))[0])
 
 
 def fingerprint(t: BlochTensor) -> InvariantSet2 | InvariantSet3:
@@ -270,9 +299,9 @@ def invariant1(t: BlochTensor) -> Invariant1:
     return Invariant1(value=value, purity=purity)
 
 
-def coefficient_scale(*tensors: BlochTensor) -> float:
-    """Largest coefficient magnitude across tensors, floored away from 0."""
-    return max(COEFFICIENT_SCALE_FLOOR, *(t.max_abs() for t in tensors))
+def coefficient_scale(*coeffs: np.ndarray) -> float:
+    """Largest magnitude across arrays of Bloch coefficients, floored away from 0."""
+    return max(COEFFICIENT_SCALE_FLOOR, *(float(np.abs(c).max()) for c in coeffs))
 
 
 def first_disagreement(

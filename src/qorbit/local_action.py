@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _SITES, PAULI, BlochTensor, _contract
+from .bloch import PAULI, BlochTensor, _parts, _rotate, _tensor
 from .errors import (
     NotSpecialOrthogonal,
     NotSpecialUnitary,
     ShapeMismatch,
+    _raise_first,
 )
 from .states import DensityMatrix, SystemShape, _rng
 from .tolerances import LIFT_BRANCH_TOL, SPECIAL_TOL, UNITARITY_TOL
@@ -70,18 +71,10 @@ class RotationTriple:
             raise ShapeMismatch("rotation set covers 1-3 sites")
         mats = [np.array(o, dtype=float) for o in self.mats]
         n_shaped = next((r for r, o in enumerate(mats) if o.shape != (3, 3)), len(mats))
-        # One stacked check of the rotations before the first misshapen one,
-        # so errors come in the same site order as checking one by one.
+        # Check the rotations before the first misshapen one, so errors come
+        # in the same site order as checking one by one.
         if n_shaped:
-            stack = np.array(mats[:n_shaped])
-            devs = np.abs(stack.transpose(0, 2, 1) @ stack - np.eye(3)).max(axis=(1, 2))
-            det_devs = np.abs(_det(stack) - 1.0)
-            for r, (dev, det_dev) in enumerate(zip(devs.tolist(), det_devs.tolist())):
-                if not (dev <= UNITARITY_TOL and det_dev <= UNITARITY_TOL):
-                    raise NotSpecialOrthogonal(
-                        f"rotation {r}: orthogonality residue {dev:.3e}, |det - 1| = {det_dev:.3e}",
-                        margin=max(dev, det_dev),
-                    )
+            _raise_first(_rotation_errors(np.array(mats[:n_shaped])[:, None]))
         if n_shaped < len(mats):
             raise ShapeMismatch(f"rotation {n_shaped} has shape {mats[n_shaped].shape}")
         for o in mats:
@@ -93,8 +86,37 @@ class RotationTriple:
         return len(self.mats)
 
     @classmethod
+    def _checked(cls, stack: np.ndarray) -> "RotationTriple":
+        """Read-only copies of a (k, 3, 3) stack that ``_rotation_errors`` has passed,
+        without checking it again."""
+        triple = object.__new__(cls)
+        mats = tuple(np.array(o) for o in stack)
+        for o in mats:
+            o.setflags(write=False)
+        object.__setattr__(triple, "mats", mats)
+        return triple
+
+    @classmethod
     def identity(cls, n: int) -> "RotationTriple":
         return cls(tuple(np.eye(3) for _ in range(n)))
+
+
+def _rotation_errors(stack: np.ndarray) -> list:
+    """The error of the first rotation failing its SO(3) checks, per member of a site-major
+    (k, B, 3, 3) stack (None if all pass); one stacked check for the whole stack."""
+    devs = np.abs(stack.swapaxes(-1, -2) @ stack - np.eye(3)).max(axis=(-2, -1))
+    det_devs = np.abs(_det(stack) - 1.0)
+    errors = []
+    for member in zip(devs.T.tolist(), det_devs.T.tolist()):
+        errors.append(next((
+            NotSpecialOrthogonal(
+                f"rotation {r}: orthogonality residue {dev:.3e}, |det - 1| = {det_dev:.3e}",
+                margin=max(dev, det_dev),
+            )
+            for r, (dev, det_dev) in enumerate(zip(*member))
+            if not (dev <= UNITARITY_TOL and det_dev <= UNITARITY_TOL)  # NaN fails too
+        ), None))
+    return errors
 
 
 def apply(u: LocalUnitary, rho: DensityMatrix) -> DensityMatrix:
@@ -201,7 +223,4 @@ def transform_bloch(t: BlochTensor, rotations: RotationTriple) -> BlochTensor:
     """
     if rotations.n != t.n:
         raise ShapeMismatch(f"{rotations.n} rotations for an n={t.n} tensor")
-    mats = rotations.mats
-    return BlochTensor(n=t.n, **{
-        name: _contract(getattr(t, name), mats, sites) for name, sites in _SITES[t.n].items()
-    })
+    return _tensor(_rotate(_parts(t), np.array(rotations.mats)[:, None]), t.n, 0)

@@ -117,7 +117,7 @@ def vector_from_quadratics(quads, sign_invariant: float, spectrum) -> np.ndarray
     """
     spectrum = _three("spectrum", spectrum)
     quads = _three("quadratics", quads)
-    gap, trace = _gap_and_trace(spectrum)
+    gap, trace = _gap_and_trace(*spectrum.tolist())
     if gap <= EIGENGAP_RTOL * max(trace, 1e-300):
         raise DegenerateSpectrum(
             f"eigenvalue gap {gap:.3e} below {EIGENGAP_RTOL:.0e} * trace ({trace:.3e})"
@@ -179,10 +179,10 @@ def _from_mixed(mixed, factors, sites) -> np.ndarray:
     violation marks the invariant vector as inconsistent.
     """
     mixed = np.asarray(mixed, dtype=float).reshape((3,) * len(sites))
-    q = _contract(mixed, factors, sites)
+    q = _contract(mixed[None], [f[None] for f in factors], sites)[0]
     if len(sites) < 3:
         return q
-    for site, g in enumerate(_gram_mats(q)):
+    for site, g in enumerate(_gram_mats(q[None])[:, 0]):
         off = g - np.diag(np.diag(g))
         worst = float(np.max(np.abs(off)))
         scale = max(float(np.max(np.abs(np.diag(g)))), 1e-300)

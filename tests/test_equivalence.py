@@ -99,12 +99,24 @@ class TestDecide:
         assert verdict.genericity is not None
         assert not verdict.genericity[0].generic
 
-    @pytest.mark.parametrize("seed", [14, 15])
+    @pytest.mark.parametrize("seed", [14, 15, 30, 40, 50])
     def test_symmetry(self, seed):
+        """Swapping the arguments keeps the verdict, the witness name and its difference, and
+        swaps the witness values and the two genericity reports."""
         rho1, rho2 = on_orbit_pair((2, 2, 2), seed, 400 + seed)
         assert q.decide(rho1, rho2).verdict == q.decide(rho2, rho1).verdict
         rho3 = q.random_state(q.SystemShape((2, 2, 2)), seed=500 + seed)
         assert q.decide(rho1, rho3).verdict == q.decide(rho3, rho1).verdict
+        for kind, n in itertools.product(PAIR_KINDS, (2, 3)):
+            rho1, rho2 = pair_of_kind(kind, n, seed)
+            forward, backward = q.decide(rho1, rho2), q.decide(rho2, rho1)
+            assert backward.verdict == forward.verdict, (kind, n)
+            assert backward.witness.name == forward.witness.name, (kind, n)
+            assert backward.witness.difference == forward.witness.difference, (kind, n)
+            values = forward.witness.values
+            assert backward.witness.values == (None if values is None else values[::-1]), (kind, n)
+            reports = forward.genericity
+            assert repr(backward.genericity) == repr(None if reports is None else reports[::-1]), (kind, n)
 
     @pytest.mark.parametrize("kind", PAIR_KINDS)
     @pytest.mark.parametrize("n", [2, 3])
@@ -115,6 +127,14 @@ class TestDecide:
         for order in itertools.permutations(range(n)):
             moved = q.decide(permute_qubits(rho1, order), permute_qubits(rho2, order))
             assert moved.verdict == verdict, order
+
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [30, 40, 50])
+    def test_covariant_under_complex_conjugation(self, kind, n, seed):
+        rho1, rho2 = pair_of_kind(kind, n, seed)
+        mirrored = (q.DensityMatrix(rho.shape, rho.matrix.conj()) for rho in (rho1, rho2))
+        assert q.decide(*mirrored).verdict == q.decide(rho1, rho2).verdict
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):

@@ -191,7 +191,7 @@ class TestSeparationSoundness:
             q.invariants3(t1).values,
             q.invariants3(t2).values,
             DEGREES3,
-            coefficient_scale(t1, t2),
+            coefficient_scale(t1.flatten(), t2.flatten()),
         )
         assert bad is not None
         result = q.oracle_search(rho1, rho2, restarts=4, seed=seed)

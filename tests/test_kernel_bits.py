@@ -12,6 +12,14 @@ is held to one rounding (2.2e-16) there and compared bit for bit at n = 1.
 materialized tangent frame; its reference is the materializing version,
 and the singular values are compared bit for bit.
 
+The kernels on ``decide``'s path take a leading batch axis, and ``decide``
+runs both states of a pair as one batch of two. The single-state bodies
+they replaced (``expand``, ``gram``, ``invariants2``, ``invariants3``,
+``canonicalize2``, ``canonicalize3``, ``genericity`` and ``transform_bloch``
+with their helpers) are kept below as ``*_head`` references. Every batched
+kernel must equal them bit for bit as a batch of one (the public
+functions) and as either member of a batch of two.
+
 The Bloch component layout, the Kronecker product of per-site factors and
 the SO(3) -> SU(2) lift each have a reference written independently of the
 library's tables: the layout as index patterns over sites, the product as
@@ -28,13 +36,15 @@ from hypothesis import strategies as st
 
 import qorbit as q
 from qorbit import bloch, invariants, orbit_dim, reconstruction
-from qorbit.bloch import BlochTensor, _component_words
+from qorbit.bloch import BlochTensor, _component_words, _expand, _flat, _rotate, _split
 from qorbit.canonical import (
-    KLEIN, KLEIN_SIGN_RTOL, CanonicalPoint, _report_from_gram, _signs, _uniform_sign_element, genericity,
+    KLEIN, KLEIN_SIGN_RTOL, CanonicalPoint, _canonical, _reports, _signs, _uniform_sign_element, genericity,
 )
 from qorbit.errors import ConstraintViolation, NotSpecialOrthogonal, NumericalError, ShapeMismatch, ToolkitError
-from qorbit.invariants import GRAM_PSD_TOL, _gram_mats, _sign_invariant, _triple_product
-from qorbit.local_action import LIFT_BRANCH_TOL, SPECIAL_TOL, UNITARITY_TOL, RotationTriple, transform_bloch
+from qorbit.invariants import GRAM_PSD_TOL, _eigen, _fingerprint, _gram_mats, _power_vectors, _triple_product
+from qorbit.local_action import (
+    LIFT_BRANCH_TOL, SPECIAL_TOL, UNITARITY_TOL, RotationTriple, _rotation_errors, transform_bloch,
+)
 from qorbit.orbit_dim import OrbitDimension
 from qorbit.reconstruction import (
     DIAGONALITY_RTOL, SIGN_INVARIANT_TOL, VandermondeSystem, _inverse_factor, spectra_from_traces,
@@ -46,6 +56,182 @@ from qorbit.tolerances import RANK_RTOL
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# ------------------------------------------------- single-state bodies replaced
+# by the batched kernels, kept as they were (helpers renamed *_head).
+
+
+def gram_mats_head(top):
+    if top.ndim == 2:
+        return top @ top.T, top.T @ top
+    return (
+        np.einsum("ijk,ljk->il", top, top),
+        np.einsum("ijk,ilk->jl", top, top),
+        np.einsum("ijk,ijl->kl", top, top),
+    )
+
+
+def gram_head(t):
+    mats = gram_mats_head(t.triple if t.n == 3 else t.pair_12)
+    vals, vecs = np.linalg.eigh(np.array(mats))
+    spectra = vals[:, ::-1].copy()
+    frames = vecs[:, :, ::-1].copy()
+    for frame, det in zip(frames, np.linalg.det(frames).tolist()):
+        if det < 0:
+            frame[:, -1] *= -1.0
+    for low in spectra[:, -1].tolist():
+        if low < GRAM_PSD_TOL:
+            raise NumericalError(f"Gram matrix has negative eigenvalue {low:.3e}")
+    if t.n == 2 and np.abs(spectra[0] - spectra[1]).max() > 1e-12:
+        raise NumericalError("two-qubit Gram spectra disagree beyond 1e-12")
+    return invariants.GramTriple(n=t.n, mats=tuple(mats), spectra=tuple(spectra), frames=tuple(frames))
+
+
+def power_vectors_head(mat, vec):
+    pv = np.empty((3, 3))
+    pv[0] = vec
+    np.matmul(mat, vec, out=pv[1])
+    np.matmul(mat, pv[1], out=pv[2])
+    return pv
+
+
+def triple_product_head(pv):
+    (b0, b1, b2), (c0, c1, c2) = pv[1:].tolist()
+    return float(np.dot(pv[0], [b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0]))
+
+
+def sign_invariant_head(vec, mat):
+    return triple_product_head(power_vectors_head(mat, vec))
+
+
+def trace_powers_head(mat):
+    m2 = mat @ mat
+    return [float(mat.trace()), float(m2.trace()), float((m2 @ mat).trace())]
+
+
+def invariants3_head(t):
+    x, y, z = gram_mats_head(t.triple)
+    av = power_vectors_head(x, t.alpha)
+    bv = power_vectors_head(y, t.beta)
+    cv = power_vectors_head(z, t.gamma)
+    return np.concatenate([
+        trace_powers_head(x), trace_powers_head(y), trace_powers_head(z),
+        av @ t.alpha, bv @ t.beta, cv @ t.gamma,
+        [triple_product_head(av), triple_product_head(bv), triple_product_head(cv)],
+        (av @ t.pair_12 @ bv.T).ravel(),
+        (av @ t.pair_13 @ cv.T).ravel(),
+        (bv @ t.pair_23 @ cv.T).ravel(),
+        np.einsum("ri,sj,tk,ijk->rst", av, bv, cv, t.triple).ravel(),
+    ])
+
+
+def invariants2_head(t):
+    r = t.pair_12
+    x, y = gram_mats_head(r)
+    av = power_vectors_head(x, t.alpha)
+    bv = power_vectors_head(y, t.beta)
+    tr = trace_powers_head(x)
+    return np.concatenate([
+        [tr[0], tr[1], float(np.linalg.det(r))],
+        av @ t.alpha,
+        av @ (r @ t.beta),
+        [triple_product_head(av)],
+        bv @ t.beta,
+        [triple_product_head(bv)],
+    ])
+
+
+def report_from_gram_head(g, vectors):
+    n = g.n
+    gaps, traces, mins, signs = [None] * 3, [None] * 3, [None] * 3, [None] * 3
+    generic = True
+    for site in range(n):
+        s0, s1, s2 = g.spectra[site].tolist()
+        gaps[site], traces[site] = min(s0 - s1, s1 - s2), 0.0 + s0 + s1 + s2
+        mins[site] = min(map(abs, vectors[site].tolist()))
+        signs[site] = abs(sign_invariant_head(vectors[site], np.diag(g.spectra[site])))
+        generic = generic and (
+            gaps[site] > q.canonical.EIGENGAP_RTOL * traces[site]
+            and mins[site] > q.canonical.COMPONENT_TOL
+            and signs[site] > q.canonical.SIGN_INVARIANT_TOL
+        )
+    return q.GenericityReport(n=n, eigengaps=tuple(gaps), gram_traces=tuple(traces),
+                              min_components=tuple(mins), sign_invariants=tuple(signs), generic=generic)
+
+
+def frame_vectors_head(t, g):
+    return [f.T @ v for f, v in zip(g.frames, (t.alpha, t.beta, t.gamma))]
+
+
+def genericity_head(t):
+    g = gram_head(t)
+    return report_from_gram_head(g, frame_vectors_head(t, g))
+
+
+def contract_head(arr, mats, sites):
+    rank = len(sites)
+    if rank == 1:
+        return mats[sites[0]] @ arr
+    if rank == 2:
+        return mats[sites[0]] @ arr @ mats[sites[1]].T
+    return np.einsum("im,jn,kp,mnp->ijk", mats[sites[0]], mats[sites[1]], mats[sites[2]], arr)
+
+
+def transform_bloch_head(t, rotations):
+    mats = rotations.mats
+    return BlochTensor(n=t.n, **{
+        name: contract_head(getattr(t, name), mats, sites) for name, sites in bloch._SITES[t.n].items()
+    })
+
+
+def expand_head(rho):
+    n = rho.shape.n
+    raw = np.einsum("wab,ba->w", bloch._flat_words(n), rho.matrix) / 2**n
+    residue = float(np.abs(raw.imag).max())
+    if residue > bloch.IMAG_RESIDUE_TOL:
+        raise NumericalError(f"expansion coefficient has imaginary residue {residue:.3e}")
+    return BlochTensor.from_flat(n, raw.real)
+
+
+def canonicalize3_head(t):
+    g = gram_head(t)
+    klein = [_uniform_sign_element(v) for v in frame_vectors_head(t, g)]
+    gauge = RotationTriple(tuple(k @ f.T for k, f in zip(klein, g.frames)))
+    canonical = transform_bloch_head(t, gauge)
+    report = report_from_gram_head(g, [canonical.alpha, canonical.beta, canonical.gamma])
+    return CanonicalPoint(tensor=canonical, gauge=gauge, report=report)
+
+
+KLEIN_DIAGONALS_HEAD = tuple(tuple(np.diag(k).tolist()) for k in KLEIN)
+KLEIN_FIRST_HEAD = np.repeat(KLEIN_DIAGONALS_HEAD, 4, axis=0)
+KLEIN_SECOND_HEAD = np.tile(KLEIN_DIAGONALS_HEAD, (4, 1))
+
+
+def canonicalize2_head(t):
+    u, s, vt = np.linalg.svd(t.pair_12)
+    du = float(np.sign(np.linalg.det(u))) or 1.0
+    dv = float(np.sign(np.linalg.det(vt))) or 1.0
+    r1 = np.array((u @ np.diag([1.0, 1.0, du])).T)
+    r2 = np.array((vt.T @ np.diag([1.0, 1.0, dv])).T)
+    alpha, beta, pair = r1 @ t.alpha, r2 @ t.beta, r1 @ t.pair_12 @ r2.T
+    tol = KLEIN_SIGN_RTOL * (1.0 + float(np.abs(np.concatenate((alpha, beta, pair), axis=None)).max()))
+    sa, sb, sd = (np.array(_signs(v, tol)) for v in (alpha, beta, np.diag(pair)))
+    keys = np.hstack((KLEIN_FIRST_HEAD * sa, KLEIN_SECOND_HEAD * sb, KLEIN_FIRST_HEAD * KLEIN_SECOND_HEAD * sd))
+    best = int(np.lexsort(keys.T[::-1])[0])
+    gauge = RotationTriple((KLEIN[best // 4] @ r1, KLEIN[best % 4] @ r2))
+    canonical = transform_bloch_head(t, gauge)
+    g = gram_head(canonical)
+    report = report_from_gram_head(g, [canonical.alpha, canonical.beta])
+    return CanonicalPoint(tensor=canonical, gauge=gauge, report=report)
+
+
+def canonicalize_head(t):
+    return canonicalize2_head(t) if t.n == 2 else canonicalize3_head(t)
+
+
+def fingerprint_head(t):
+    return invariants2_head(t) if t.n == 2 else invariants3_head(t)
 
 
 # ---------------------------------------------------------------- references
@@ -67,7 +253,7 @@ def trace_powers_ref(mat):
 
 
 def invariants3_ref(t):
-    x, y, z = _gram_mats(t.triple)
+    x, y, z = gram_mats_head(t.triple)
     av = power_vectors_ref(x, t.alpha)
     bv = power_vectors_ref(y, t.beta)
     cv = power_vectors_ref(z, t.gamma)
@@ -84,7 +270,7 @@ def invariants3_ref(t):
 
 def invariants2_ref(t):
     r = t.pair_12
-    x, y = _gram_mats(r)
+    x, y = gram_mats_head(r)
     av = power_vectors_ref(x, t.alpha)
     bv = power_vectors_ref(y, t.beta)
     tr = trace_powers_ref(x)
@@ -109,7 +295,7 @@ def eig_desc_ref(mat):
 
 def gram_ref(t):
     """Spectra and frames from one eigh per site, or the error message."""
-    mats = _gram_mats(t.triple if t.n == 3 else t.pair_12)
+    mats = gram_mats_head(t.triple if t.n == 3 else t.pair_12)
     spectra, frames = [], []
     for m in mats:
         vals, vecs = eig_desc_ref(m)
@@ -163,7 +349,7 @@ def canonicalize2_ref(t):
     k1, k2 = min(itertools.product(KLEIN, KLEIN), key=key)
     gauge = RotationTriple((k1 @ base_rot.mats[0], k2 @ base_rot.mats[1]))
     canonical = transform_bloch(t, gauge)
-    report = _report_from_gram(invariants.gram(canonical), [canonical.alpha, canonical.beta])
+    report = report_from_gram_head(gram_head(canonical), [canonical.alpha, canonical.beta])
     return CanonicalPoint(tensor=canonical, gauge=gauge, report=report)
 
 
@@ -225,7 +411,7 @@ def triple_from_mixed_ref(mixed, spectra, vectors):
     mixed = np.asarray(mixed, dtype=float).reshape(3, 3, 3)
     factors = [_inverse_factor(sp, vec) for sp, vec in zip(spectra, vectors)]
     q_ = np.einsum("ir,js,kt,rst->ijk", factors[0], factors[1], factors[2], mixed)
-    for site, g in enumerate(_gram_mats(q_)):
+    for site, g in enumerate(gram_mats_head(q_)):
         off = g - np.diag(np.diag(g))
         worst = float(np.max(np.abs(off)))
         scale = max(float(np.max(np.abs(np.diag(g)))), 1e-300)
@@ -491,9 +677,9 @@ class TestInvariantKernels:
     @settings(max_examples=300, deadline=None)
     @given(arrays((3,)), arrays((3, 3)))
     def test_sign_invariant(self, vec, mat):
-        assert same_bits(_sign_invariant(vec, mat), sign_invariant_ref(vec, mat))
+        assert same_bits(_triple_product(_power_vectors(mat, vec)), sign_invariant_ref(vec, mat))
         sym = mat @ mat.T
-        assert same_bits(_sign_invariant(vec, sym), sign_invariant_ref(vec, sym))
+        assert same_bits(_triple_product(_power_vectors(sym, vec)), sign_invariant_ref(vec, sym))
 
     @settings(max_examples=300, deadline=None)
     @given(arrays((3, 3)))
@@ -570,7 +756,7 @@ class TestCanonicalKernels:
         except NumericalError:
             return
         vectors = vectors[:t.n]
-        report = _report_from_gram(g, vectors)
+        report = _reports(np.array(g.spectra)[:, None], np.array(vectors)[:, None])[0]
         ref = report_ref(g, vectors)
         for got, want in ((report.eigengaps, ref["gaps"]), (report.gram_traces, ref["traces"]),
                           (report.min_components, ref["mins"]), (report.sign_invariants, ref["signs"])):
@@ -589,10 +775,9 @@ class TestCanonicalKernels:
         assert same_point(got, want)
 
     def test_trace_keeps_np_sum_signed_zero(self):
-        g = invariants.GramTriple(n=2, mats=(), spectra=(np.array([-0.0, -0.0, -0.0]),) * 2,
-                                  frames=(np.eye(3),) * 2)
-        report = _report_from_gram(g, [np.ones(3), np.ones(3)])
-        assert same_bits(report.gram_traces[0], float(np.sum(g.spectra[0])))
+        spectra = np.full((2, 1, 3), -0.0)
+        report = _reports(spectra, np.ones((2, 1, 3)))[0]
+        assert same_bits(report.gram_traces[0], float(np.sum(spectra[0, 0])))
 
 
 class TestBlochKernels:
@@ -625,7 +810,7 @@ class TestBlochKernels:
     @given(st.one_of(tensors(1), tensors(2), tensors(3)))
     def test_max_abs(self, t):
         assert same_bits(t.max_abs(), max_abs_ref(t))
-        assert same_bits(invariants.coefficient_scale(t), max(1e-30, max_abs_ref(t)))
+        assert same_bits(invariants.coefficient_scale(t.flatten()), max(1e-30, max_abs_ref(t)))
 
 
 def pi_turn(axis) -> np.ndarray:
@@ -745,6 +930,146 @@ class TestTransformBloch:
         assert [name for name, _ in got.component_items()] == [name for name, _ in want.component_items()]
         for (name, a), (_, b) in zip(got.component_items(), want.component_items()):
             assert same_bits(a, b), name
+
+
+def same_outcome(got, want) -> bool:
+    """same_point for canonical points, bytes for arrays, equality otherwise."""
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and same_bits(got, want)
+    if isinstance(want, q.GenericityReport):
+        return repr(got) == repr(want)
+    if isinstance(want, invariants.GramTriple):
+        return (isinstance(got, invariants.GramTriple)
+                and all(same_bits(a, b) for a, b in zip(got.mats + got.spectra + got.frames,
+                                                         want.mats + want.spectra + want.frames)))
+    return same_point(got, want)
+
+
+def batch_member_point(batch, n: int, b: int):
+    """Member b of a batched canonical result, as a point or as the type and message of its error."""
+    canonical, gauge, reports, errors = batch
+    if errors[b] is not None:
+        return type(errors[b]), str(errors[b])
+    return CanonicalPoint(tensor=bloch._tensor(canonical, n, b), gauge=RotationTriple(tuple(gauge[:, b])),
+                          report=reports[b])
+
+
+def tensor_pairs(n):
+    return st.tuples(st.one_of(tensors(n), states(n).map(q.expand)), st.one_of(tensors(n), states(n).map(q.expand)))
+
+
+state_pairs = st.integers(2, 3).flatmap(lambda n: st.tuples(states(n), states(n)))
+
+
+class TestPairBatch:
+    """The batched kernels against the single-state bodies they replaced."""
+
+    @staticmethod
+    def assert_batch_of_one(t):
+        n = t.n
+        pairs = [
+            (q.invariants.fingerprint, fingerprint_head),
+            (q.canonicalize, canonicalize_head),
+            (q.genericity, genericity_head),
+            (q.gram, gram_head),
+        ]
+        for fn, head in pairs:
+            got, want = outcome(fn, t), outcome(head, t)
+            if fn is q.invariants.fingerprint:
+                got = got.values
+            assert same_outcome(got, want), fn.__name__
+        rotations = unchecked_rotations([rotation(n + k, 1e-13, False) for k in range(n)])
+        got, want = q.transform_bloch(t, rotations), transform_bloch_head(t, rotations)
+        assert same_bits(got.flatten(), want.flatten())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(states(2), states(3)))
+    def test_batch_of_one_on_states(self, rho):
+        t, want = q.expand(rho), expand_head(rho)
+        assert same_bits(t.flatten(), want.flatten())
+        self.assert_batch_of_one(t)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in det:RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(tensors(2), tensors(3)))
+    def test_batch_of_one_on_tensors(self, t):
+        self.assert_batch_of_one(t)
+
+    @staticmethod
+    def assert_either_member(tensors_, n, g=None):
+        parts = {name: np.array([getattr(t, name) for t in tensors_]) for name, _ in bloch._components(n)}
+        if g is None:
+            g = _gram_mats(parts["triple"] if n == 3 else parts["pair_12"])
+        _, values = _fingerprint(parts, g, n)
+        batch = _canonical(parts, n, g)
+        spectra, frames, errors = _eigen(g)
+        mats = np.array([[rotation(7 * b + k, 1e-13, b == 1) for b in range(2)] for k in range(n)])
+        rotated = _flat(_rotate(parts, mats))
+        for b, t in enumerate(tensors_):
+            assert same_bits(g[:, b], np.array(gram_mats_head(t.triple if n == 3 else t.pair_12)))
+            assert same_bits(values[b], fingerprint_head(t))
+            assert same_point(batch_member_point(batch, n, b), outcome(canonicalize_head, t))
+            head = outcome(gram_head, t)
+            if errors[b] is None:
+                assert same_bits(spectra[:, b], np.array(head.spectra))
+                assert same_bits(frames[:, b], np.array(head.frames))
+            else:
+                assert (type(errors[b]), str(errors[b])) == head
+            moved = transform_bloch_head(t, unchecked_rotations([m[b] for m in mats]))
+            assert same_bits(rotated[b], moved.flatten())
+
+    @settings(max_examples=100, deadline=None)
+    @given(state_pairs)
+    def test_either_member_of_a_state_pair(self, pair):
+        rho1, rho2 = pair
+        n = rho1.shape.n
+        coeffs = _expand(np.array((rho1.matrix, rho2.matrix)), n)
+        tensors_ = [expand_head(rho) for rho in pair]
+        for b, t in enumerate(tensors_):
+            assert same_bits(np.array(coeffs[b]), np.array(t.flatten()))
+        parts = _split(coeffs, n)
+        assert all(same_bits(parts[name][b], arr) for b, t in enumerate(tensors_) for name, arr in t.component_items())
+        self.assert_either_member(tensors_, n)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in det:RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 3).flatmap(tensor_pairs))
+    def test_either_member_of_a_tensor_pair(self, pair):
+        self.assert_either_member(list(pair), pair[0].n)
+
+    def test_expand_error_of_the_first_member_first(self):
+        rho = q.random_state(q.SystemShape((2, 2, 2)), seed=3)
+        bad = rho.matrix.copy()
+        bad[0, 0] += 1e-6j
+        worse = rho.matrix.copy()
+        worse[0, 0] += 1e-3j
+        with pytest.raises(NumericalError, match="residue 1.250e-07"):
+            _expand(np.array((bad, worse)), 3)
+        with pytest.raises(NumericalError, match="residue 1.250e-04"):
+            _expand(np.array((rho.matrix, worse)), 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(rotations, min_size=3, max_size=3), st.lists(rotations, min_size=3, max_size=3))
+    def test_rotation_errors_of_either_member(self, first, second):
+        errors = _rotation_errors(np.array([first, second]).swapaxes(0, 1))
+        for mats, error in zip((first, second), errors):
+            ref = rotation_error_ref(mats)
+            if ref is None:
+                assert error is None
+            else:
+                assert str(error) == ref[1] and same_bits(error.margin, ref[2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(states(2), states(3)), st.integers(0, 10**6))
+    def test_decide_reports_are_the_canonical_reports(self, rho, seed):
+        partners = (q.apply(q.haar_local(rho.shape, seed=seed), rho),
+                    q.DensityMatrix(rho.shape, rho.matrix.conj()))
+        for partner in partners:
+            verdict = q.decide(rho, partner)
+            if verdict.genericity is None:
+                continue
+            for state, report in zip((rho, partner), verdict.genericity):
+                assert repr(report) == repr(q.canonicalize(q.expand(state)).report)
 
 
 class TestReconstruction:

@@ -9,7 +9,9 @@ Compare runs on one host with one BLAS thread count: LAPACK's bytes, and
 so the ``orbit`` and ``states`` digests, can differ between them.
 
 ``library`` hashes, for ``decide_mix(seed, 400)`` with seeds 1-3, the
-``decide`` verdict repr and payload, and for both states of each pair the
+verdict repr and payload of ``decide`` on the pair in both argument
+orders (``decide`` runs the two states as one batch of two, so each state
+is checked in both batch positions), and for both states of each pair the
 ``canonicalize`` tensor, gauge and report and the invariant values (or the
 error each call raised).
 
@@ -72,9 +74,9 @@ def library_digest() -> str:
         for item, m1, m2 in zip(mix["items"], mix["first"], mix["second"]):
             shape = qorbit.SystemShape((2,) * item["n"])
             rho1, rho2 = qorbit.DensityMatrix(shape, m1), qorbit.DensityMatrix(shape, m2)
-            verdict = qorbit.decide(rho1, rho2)
-            digest.update(repr(verdict).encode())
-            digest.update(repr(verdict.payload()).encode())
+            for verdict in (qorbit.decide(rho1, rho2), qorbit.decide(rho2, rho1)):
+                digest.update(repr(verdict).encode())
+                digest.update(repr(verdict.payload()).encode())
             for rho in (rho1, rho2):
                 t = qorbit.expand(rho)
                 point = _call(digest, qorbit.canonicalize, t)
