@@ -5,6 +5,8 @@ single qubit expands as rho = 1/2 + alpha.sigma, a pair picks up the 3x3
 correlation matrix ``pair_12``, and a triple adds the two remaining pair
 matrices and the 3x3x3 tensor ``triple`` whose index (i, j, k) multiplies
 sigma_i x sigma_j x sigma_k with sites ordered left to right.
+This module alone knows that layout; the others read a batch of components
+through ``_split``, ``_flat``, ``_site_vectors`` and ``_top``.
 """
 
 from __future__ import annotations
@@ -84,16 +86,10 @@ class BlochTensor:
     @classmethod
     def from_flat(cls, n: int, vec) -> "BlochTensor":
         vec = np.asarray(vec, dtype=float)
-        shapes = {name: _SHAPES[name] for name, _ in _components(n)}
-        size = sum(3 ** len(shape) for shape in shapes.values())
+        size = sum(3 ** len(sites) for _, sites in _components(n))
         if vec.shape != (size,):
             raise ShapeMismatch(f"flat vector for n={n} must have length {size}")
-        parts, start = {}, 0
-        for name, shape in shapes.items():
-            stop = start + 3 ** len(shape)
-            parts[name] = vec[start:stop].reshape(shape)
-            start = stop
-        return cls(n=n, **parts)
+        return _tensor(_split(vec[None], n), n, 0)
 
     def max_abs(self) -> float:
         return float(np.abs(self.flatten()).max())
@@ -124,6 +120,16 @@ def _tensor(parts: dict, n: int, b: int) -> BlochTensor:
     return BlochTensor(n=n, **{name: arr[b] for name, arr in parts.items()})
 
 
+def _site_vectors(parts: dict) -> np.ndarray:
+    """The site vectors of a batch, site-major (n, B, 3)."""
+    return np.array([parts[name] for name in ("alpha", "beta", "gamma") if name in parts])
+
+
+def _top(parts: dict) -> np.ndarray:
+    """The top-rank block of a batch: the triple tensor for n = 3, else the pair matrix."""
+    return parts["triple"] if "triple" in parts else parts["pair_12"]
+
+
 def _mv(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Matrix-vector products of stacks (..., 3, 3) and (..., 3)."""
     return (mats @ vecs[..., None])[..., 0]
@@ -133,10 +139,11 @@ def _contract(arr: np.ndarray, mats, sites: tuple) -> np.ndarray:
     """Contract ``mats[sites[k]]`` into axis k + 1 of ``arr``, one matrix per axis.
 
     ``arr`` is a batch (B, 3, ...) and each ``mats[site]`` a (B, 3, 3)
-    stack. Rotating a component and inverting its mixed invariants are both
-    this product; each rank keeps one fixed numpy call, which treats every
-    batch member as it would treat that member alone, so the result is
-    reproducible bit for bit.
+    stack. Rotating a component, forming its three-qubit mixed invariants
+    (with each site's power-vector matrix) and inverting them (with each
+    site's inverse factor) are all this product; each rank keeps one fixed
+    numpy call, which treats every batch member as it would treat that member
+    alone, so the result is reproducible bit for bit.
     """
     rank = len(sites)
     if rank == 1:
@@ -147,7 +154,7 @@ def _contract(arr: np.ndarray, mats, sites: tuple) -> np.ndarray:
 
 
 def _rotate(parts: dict, mats) -> dict:
-    """Every component of a batch with its sites' rotations contracted into its axes."""
+    """Every component of a batch with its sites' matrices contracted into its axes (see ``_contract``)."""
     return {name: _contract(arr, mats, _SITES[3][name]) for name, arr in parts.items()}
 
 

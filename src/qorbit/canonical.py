@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochTensor, _mv, _parts, _rotate, _tensor, bloch_payload
+from .bloch import BlochTensor, _flat, _mv, _parts, _rotate, _site_vectors, _tensor, _top, bloch_payload
 from .errors import UnsupportedShape, _raise_first
-from .invariants import _eigen, _gram_mats, _top, _triple_product
+from .invariants import _eigen, _gram_mats, _triple_product
 from .local_action import RotationTriple, _rotation_errors
 from .tolerances import COMPONENT_TOL, EIGENGAP_RTOL, KLEIN_SIGN_RTOL, SIGN_INVARIANT_TOL
 
@@ -114,11 +114,6 @@ def _reports(spectra: np.ndarray, vecs: np.ndarray) -> list[GenericityReport]:
     return reports
 
 
-def _site_vectors(parts: dict, n: int) -> np.ndarray:
-    """The site vectors of a batch, site-major (n, B, 3)."""
-    return np.array([parts[name] for name in ("alpha", "beta", "gamma")[:n]])
-
-
 def genericity(t: BlochTensor) -> GenericityReport:
     """Report the genericity margins of a tensor without moving it.
 
@@ -128,9 +123,10 @@ def genericity(t: BlochTensor) -> GenericityReport:
     """
     if t.n not in (2, 3):
         raise UnsupportedShape(f"genericity is defined for n=2 or 3, got n={t.n}")
-    spectra, frames, errors = _eigen(_gram_mats(_top(t)))
+    parts = _parts(t)
+    spectra, frames, errors = _eigen(_gram_mats(_top(parts)))
     _raise_first(errors)
-    return _reports(spectra, _mv(frames.swapaxes(-1, -2), _site_vectors(_parts(t), t.n)))[0]
+    return _reports(spectra, _mv(frames.swapaxes(-1, -2), _site_vectors(parts)))[0]
 
 
 def _signs(vec, tol: float) -> tuple[float, ...]:
@@ -165,13 +161,13 @@ def _canonical3(parts: dict, g: np.ndarray):
     """
     spectra, frames, errors = _eigen(g)
     to_frame = frames.swapaxes(-1, -2)
-    klein = np.array([_uniform_sign_element(v) for v in _mv(to_frame, _site_vectors(parts, 3)).reshape(-1, 3)])
+    klein = np.array([_uniform_sign_element(v) for v in _mv(to_frame, _site_vectors(parts)).reshape(-1, 3)])
     # One composed transform, so replaying the gauge reproduces the
     # canonical tensor bit for bit.
     gauge = klein.reshape(g.shape) @ to_frame
     errors = [e or r for e, r in zip(errors, _rotation_errors(gauge))]
     canonical = _rotate(parts, gauge)
-    return canonical, gauge, _reports(spectra, _site_vectors(canonical, 3)), errors
+    return canonical, gauge, _reports(spectra, _site_vectors(canonical)), errors
 
 
 def _canonical2(parts: dict):
@@ -184,16 +180,16 @@ def _canonical2(parts: dict):
     key (sign pattern of alpha, of beta, of the diagonal) over all 16
     elements, the first in element order on ties.
     """
-    u, _, vt = np.linalg.svd(parts["pair_12"])
+    u, _, vt = np.linalg.svd(_top(parts))
     # C-ordered rotations, as RotationTriple holds them, so the SVD point's
     # blocks below carry the canonical tensor's bits.
     r1 = np.ascontiguousarray((u @ _last_sign(u)).swapaxes(1, 2))
     r2 = np.ascontiguousarray((vt.swapaxes(1, 2) @ _last_sign(vt)).swapaxes(1, 2))
-    alpha, beta, pair = _mv(r1, parts["alpha"]), _mv(r2, parts["beta"]), r1 @ parts["pair_12"] @ r2.swapaxes(1, 2)
-    b = len(pair)
-    scales = np.abs(np.concatenate((alpha, beta, pair.reshape(b, 9)), axis=1)).max(axis=1).tolist()
+    svd_point = _rotate(parts, np.array((r1, r2)))
+    alpha, beta = _site_vectors(svd_point).tolist()
+    scales = np.abs(_flat(svd_point)).max(axis=1).tolist()
     keys = []
-    for a, be, d, scale in zip(alpha.tolist(), beta.tolist(), np.diagonal(pair, axis1=1, axis2=2).tolist(), scales):
+    for a, be, d, scale in zip(alpha, beta, np.diagonal(_top(svd_point), axis1=1, axis2=2).tolist(), scales):
         tol = KLEIN_SIGN_RTOL * (1.0 + scale)
         sa, sb, sd = (np.array(_signs(v, tol)) for v in (a, be, d))
         keys.append(np.hstack((_KLEIN_FIRST * sa, _KLEIN_SECOND * sb, _KLEIN_FIRST * _KLEIN_SECOND * sd)))
@@ -204,9 +200,9 @@ def _canonical2(parts: dict):
     gauge = np.array((_KLEIN_STACK[best // 4] @ r1, _KLEIN_STACK[best % 4] @ r2))
     rotation_errors = _rotation_errors(gauge)
     canonical = _rotate(parts, gauge)
-    spectra, _, errors = _eigen(_gram_mats(canonical["pair_12"]))
+    spectra, _, errors = _eigen(_gram_mats(_top(canonical)))
     errors = [r or e for r, e in zip(rotation_errors, errors)]
-    return canonical, gauge, _reports(spectra, _site_vectors(canonical, 2)), errors
+    return canonical, gauge, _reports(spectra, _site_vectors(canonical)), errors
 
 
 def _last_sign(f: np.ndarray) -> np.ndarray:
@@ -222,7 +218,7 @@ def _canonical(parts: dict, n: int, g: np.ndarray | None = None):
     """Dispatch a batch to ``_canonical2`` or ``_canonical3``; g is the Gram stack when known."""
     if n == 2:
         return _canonical2(parts)
-    return _canonical3(parts, _gram_mats(parts["triple"]) if g is None else g)
+    return _canonical3(parts, _gram_mats(_top(parts)) if g is None else g)
 
 
 def _point(t: BlochTensor) -> CanonicalPoint:

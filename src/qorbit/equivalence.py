@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .bloch import PAULI, _expand, _flat, _split
+from .bloch import PAULI, _expand, _flat, _split, _top
 from .canonical import GenericityReport, _canonical
 from .errors import ShapeMismatch, UnsupportedShape, ValidationError, _raise_first
 from .invariants import _fingerprint, _gram_mats, coefficient_scale, first_disagreement
@@ -109,7 +109,7 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
     # its invariants and its canonical gauge.
     coeffs = _expand(np.array((rho1.matrix, rho2.matrix)), n)
     parts = _split(coeffs, n)
-    g = _gram_mats(parts["triple"] if n == 3 else parts["pair_12"])
+    g = _gram_mats(_top(parts))
     family, (inv1, inv2) = _fingerprint(parts, g, n)
     bad = first_disagreement(inv1, inv2, family.DEGREES, coefficient_scale(coeffs), rtol=rtol)
     if bad is not None:

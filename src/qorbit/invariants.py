@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .bloch import BlochTensor, _mv, _parts, reconstruct
+from .bloch import BlochTensor, _flat, _mv, _parts, _rotate, _site_vectors, _top, reconstruct
 from .errors import NumericalError, ParseError, UnsupportedShape, _raise_first
 from .tolerances import (
     COEFFICIENT_SCALE_FLOOR, COMPARE_ABS_FLOOR, COMPARE_RTOL, GRAM_PAIR_SPECTRA_TOL, GRAM_PSD_TOL,
@@ -112,12 +112,6 @@ def _eigen(mats: np.ndarray):
     return spectra, frames, errors
 
 
-def _top(t: BlochTensor) -> np.ndarray:
-    if t.n not in (2, 3):
-        raise UnsupportedShape(f"Gram matrices are defined for n=2 or 3, got n={t.n}")
-    return (t.triple if t.n == 3 else t.pair_12)[None]
-
-
 def gram(t: BlochTensor) -> GramTriple:
     """Gram matrices of the top-rank tensor with their eigen data, one per site.
 
@@ -126,7 +120,9 @@ def gram(t: BlochTensor) -> GramTriple:
     The invariant families use the matrices alone; the eigenframes and
     spectra serve the canonical gauge and the genericity margins.
     """
-    mats = _gram_mats(_top(t))
+    if t.n not in (2, 3):
+        raise UnsupportedShape(f"Gram matrices are defined for n=2 or 3, got n={t.n}")
+    mats = _gram_mats(_top(_parts(t)))
     spectra, frames, errors = _eigen(mats)
     _raise_first(errors)
     return GramTriple(n=t.n, mats=tuple(mats[:, 0]), spectra=tuple(spectra[:, 0]), frames=tuple(frames[:, 0]))
@@ -156,25 +152,24 @@ def _trace_powers(mats: np.ndarray) -> np.ndarray:
 
 
 def _values3(parts: dict, g: np.ndarray) -> np.ndarray:
-    """The 75 three-qubit invariants (B, 75) of a batch, from its Gram stack (3, B, 3, 3)."""
-    vecs = np.array((parts["alpha"], parts["beta"], parts["gamma"]))
-    av, bv, cv = pv = _power_vectors(g, vecs)
-    b = len(vecs[0])
+    """The 75 three-qubit invariants (B, 75) of a batch, from its Gram stack (3, B, 3, 3): the
+    quadratics, pair and triple members are the components with site r's power vectors
+    (v_r, X_r v_r, X_r^2 v_r) contracted into each of its axes."""
+    pv = _power_vectors(g, _site_vectors(parts))
+    mixed = _flat(_rotate(parts, pv))
     return np.concatenate([
-        _trace_powers(g).transpose(2, 1, 0).reshape(b, 9),
-        _mv(pv, vecs).swapaxes(0, 1).reshape(b, 9),
+        _trace_powers(g).transpose(2, 1, 0).reshape(len(mixed), 9),
+        mixed[:, :9],
         _triple_product(pv).T,
-        (av @ parts["pair_12"] @ bv.swapaxes(1, 2)).reshape(b, 9),
-        (av @ parts["pair_13"] @ cv.swapaxes(1, 2)).reshape(b, 9),
-        (bv @ parts["pair_23"] @ cv.swapaxes(1, 2)).reshape(b, 9),
-        np.einsum("zri,zsj,ztk,zijk->zrst", av, bv, cv, parts["triple"]).reshape(b, 27),
+        mixed[:, 9:],
     ], axis=1)
 
 
 def _values2(parts: dict, g: np.ndarray) -> np.ndarray:
     """The fourteen two-qubit invariants (B, 14) of a batch, from its Gram stack (2, B, 3, 3)."""
-    r, alpha, beta = parts["pair_12"], parts["alpha"], parts["beta"]
-    av, bv = pv = _power_vectors(g, np.array((alpha, beta)))
+    r, vecs = _top(parts), _site_vectors(parts)
+    alpha, beta = vecs
+    av, bv = pv = _power_vectors(g, vecs)
     signs = _triple_product(pv)[..., None]
     return np.concatenate([
         _trace_powers(g[0])[:2].T, np.linalg.det(r)[:, None],
@@ -246,14 +241,16 @@ def invariants3(t: BlochTensor) -> InvariantSet3:
     """Evaluate all 75 three-qubit invariants in the canonical order."""
     if t.n != 3:
         raise UnsupportedShape(f"invariants3 needs n=3, got n={t.n}")
-    return InvariantSet3(_values3(_parts(t), _gram_mats(t.triple[None]))[0])
+    parts = _parts(t)
+    return InvariantSet3(_values3(parts, _gram_mats(_top(parts)))[0])
 
 
 def invariants2(t: BlochTensor) -> InvariantSet2:
     """Evaluate the two-qubit invariants in the canonical order."""
     if t.n != 2:
         raise UnsupportedShape(f"invariants2 needs n=2, got n={t.n}")
-    return InvariantSet2(_values2(_parts(t), _gram_mats(t.pair_12[None]))[0])
+    parts = _parts(t)
+    return InvariantSet2(_values2(parts, _gram_mats(_top(parts)))[0])
 
 
 def fingerprint(t: BlochTensor) -> InvariantSet2 | InvariantSet3:

@@ -6,7 +6,8 @@ solve. Each canonical site vector solves a 3x3 Vandermonde system in the
 squared components, with the common sign read off the degree-9 sign
 invariant. Pair matrices and the triple tensor then solve Kronecker
 systems whose factors are the (Vandermonde x diagonal-component) products,
-inverted factor by factor.
+inverted factor by factor: the mixed blocks are contracted with one inverse
+factor per site, the per-site contraction that also rotates a tensor.
 
 Every stage is gated on genericity: coincident spectra or vanishing sign
 invariants make the factors singular, and inconsistent invariant vectors
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _SITES, BlochTensor, _contract
+from .bloch import _contract, _rotate, _split, _tensor, _top
 from .canonical import CanonicalPoint, _gap_and_trace, genericity
 from .errors import (
     ConstraintViolation,
@@ -169,20 +170,10 @@ def _inverse_factor(spectrum, vector) -> np.ndarray:
     return k / (s ** np.arange(3))[None, :]
 
 
-def _from_mixed(mixed, factors, sites) -> np.ndarray:
-    """Canonical block over ``sites`` from its mixed invariants.
-
-    The mixed block is the canonical block with each site's (Vandermonde x
-    diagonal-component) factor contracted into its axis, so one inverse
-    factor per axis recovers it. A recovered triple tensor must have
-    diagonal Gram matrices (that is what the canonical gauge means); a
-    violation marks the invariant vector as inconsistent.
-    """
-    mixed = np.asarray(mixed, dtype=float).reshape((3,) * len(sites))
-    q = _contract(mixed[None], [f[None] for f in factors], sites)[0]
-    if len(sites) < 3:
-        return q
-    for site, g in enumerate(_gram_mats(q[None])[:, 0]):
+def _check_diagonal(triple: np.ndarray) -> None:
+    """Refuse a recovered triple tensor (a batch of one) whose Gram matrices are not diagonal,
+    as the canonical gauge requires: its invariant vector is inconsistent."""
+    for site, g in enumerate(_gram_mats(triple)[:, 0]):
         off = g - np.diag(np.diag(g))
         worst = float(np.max(np.abs(off)))
         scale = max(float(np.max(np.abs(np.diag(g)))), 1e-300)
@@ -191,18 +182,20 @@ def _from_mixed(mixed, factors, sites) -> np.ndarray:
                 f"site {site + 1} Gram matrix of the recovered tensor is not diagonal "
                 f"(off-diagonal {worst:.3e} vs scale {scale:.3e})"
             )
-    return q
 
 
 def pair_from_mixed(mixed, row_spectrum, row_vector, col_spectrum, col_vector) -> np.ndarray:
     """Canonical pair matrix from its nine mixed invariants: two 3x3 factors, not a 9x9 solve."""
-    factors = (_inverse_factor(row_spectrum, row_vector), _inverse_factor(col_spectrum, col_vector))
-    return _from_mixed(mixed, factors, (0, 1))
+    factors = np.array((_inverse_factor(row_spectrum, row_vector), _inverse_factor(col_spectrum, col_vector)))
+    return _contract(np.asarray(mixed, dtype=float).reshape(1, 3, 3), factors[:, None], (0, 1))[0]
 
 
 def triple_from_mixed(mixed, spectra, vectors) -> np.ndarray:
     """Canonical triple tensor from its 27 mixed invariants, checked for diagonal Gram matrices."""
-    return _from_mixed(mixed, [_inverse_factor(sp, vec) for sp, vec in zip(spectra, vectors)], (0, 1, 2))
+    factors = np.array([_inverse_factor(sp, vec) for sp, vec in zip(spectra, vectors)])
+    q = _contract(np.asarray(mixed, dtype=float).reshape(1, 3, 3, 3), factors[:, None], (0, 1, 2))
+    _check_diagonal(q)
+    return q[0]
 
 
 @dataclass(frozen=True)
@@ -270,15 +263,13 @@ def reconstruct_canonical(inv: InvariantSet3) -> CanonicalPoint:
     system = VandermondeSystem(spectra=spectra, vectors=vectors)
     system.verify_determinants()
     system.verify_signs(signs)
-    factors = [_inverse_factor(sp, vec) for sp, vec in zip(spectra, vectors)]
-    parts = {}
-    for name, sites in _SITES[3].items():
-        if len(sites) == 1:
-            parts[name] = vectors[sites[0]]
-        else:
-            mixed = inv.triple_family() if name == "triple" else inv.pair_family(name.removeprefix("pair_"))
-            parts[name] = _from_mixed(mixed, factors, sites)
-    tensor = BlochTensor(n=3, **parts)
+    factors = np.array([_inverse_factor(sp, vec) for sp, vec in zip(spectra, vectors)])[:, None]
+    # The canonical vectors, then the 54 pair and triple members in flatten() order:
+    # one contraction with the inverse factors turns those mixed blocks canonical.
+    parts = _split(np.concatenate((np.ravel(vectors), inv.values[21:]))[None], 3)
+    blocks = _rotate({name: arr for name, arr in parts.items() if arr.ndim > 2}, factors)
+    _check_diagonal(_top(blocks))
+    tensor = _tensor({**parts, **blocks}, 3, 0)
     return CanonicalPoint(
         tensor=tensor,
         gauge=RotationTriple.identity(3),
