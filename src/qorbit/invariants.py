@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fileio
 from .bloch import BlochTensor, _flat, _mv, _parts, _rotate, _site_vectors, _top, reconstruct
-from .errors import NumericalError, ParseError, UnsupportedShape, _raise_first
+from .errors import NumericalError, ParseError, UnsupportedShape, ValidationError, _raise_first
 from .tolerances import (
     COEFFICIENT_SCALE_FLOOR, COMPARE_ABS_FLOOR, COMPARE_RTOL, GRAM_PAIR_SPECTRA_TOL, GRAM_PSD_TOL,
     PURITY_IDENTITY_TOL,
@@ -188,6 +188,8 @@ class _InvariantSet:
         v = np.array(self.values, dtype=float)
         if v.shape != (len(self.NAMES),):
             raise ValueError(f"expected {len(self.NAMES)} values, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValidationError("invariant vector has a non-finite entry")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -31,6 +31,7 @@ from .errors import (
     NegativeSquare,
     ShapeMismatch,
     SingularSystem,
+    ValidationError,
     ZeroSignInvariant,
 )
 from .invariants import InvariantSet3, _gram_mats
@@ -43,10 +44,12 @@ from .tolerances import (
 
 
 def _three(name: str, values) -> np.ndarray:
-    """values as a float array of one entry per Bloch axis, or ShapeMismatch."""
+    """values as a float array of one finite entry per Bloch axis, else ShapeMismatch or ValidationError."""
     a = np.asarray(values, dtype=float)
     if a.shape != (3,):
         raise ShapeMismatch(f"{name} must have 3 entries, got shape {a.shape}")
+    if not all(map(math.isfinite, a.tolist())):
+        raise ValidationError(f"{name} has a non-finite entry")
     return a
 
 
@@ -62,7 +65,7 @@ def _vander_scaled(spectrum: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _det_vander(spectrum: np.ndarray) -> float:
-    x1, x2, x3 = (float(v) for v in spectrum)
+    x1, x2, x3 = np.asarray(spectrum, dtype=float).tolist()
     return (x1 - x2) * (x2 - x3) * (x3 - x1)
 
 
@@ -74,7 +77,7 @@ def spectra_from_traces(traces) -> np.ndarray:
     method, which is branch-free for the real nonnegative spectra that
     arise here. Roots are returned sorted decreasing.
     """
-    t1, t2, t3 = (float(v) for v in traces)
+    t1, t2, t3 = _three("traces", traces).tolist()
     scale = max(abs(t1), math.sqrt(max(t2, 0.0)), abs(t3) ** (1.0 / 3.0))
     if scale < 1e-300:
         return np.zeros(3)
@@ -116,8 +119,15 @@ def vector_from_quadratics(quads, sign_invariant: float, spectrum) -> np.ndarray
     inputs are known to near machine precision; afterwards the identity is
     re-verified on the result.
     """
+    return _vector_from_quadratics(quads, sign_invariant, spectrum)
+
+
+def _vector_from_quadratics(quads, sign_invariant: float, spectrum, scaled=None) -> np.ndarray:
+    """``vector_from_quadratics`` on the site's ``_vander_scaled`` pair when it is given."""
     spectrum = _three("spectrum", spectrum)
     quads = _three("quadratics", quads)
+    if not math.isfinite(sign_invariant):
+        raise ValidationError(f"sign invariant {sign_invariant!r} is not finite")
     gap, trace = _gap_and_trace(*spectrum.tolist())
     if gap <= EIGENGAP_RTOL * max(trace, 1e-300):
         raise DegenerateSpectrum(
@@ -127,7 +137,7 @@ def vector_from_quadratics(quads, sign_invariant: float, spectrum) -> np.ndarray
         raise ZeroSignInvariant(
             f"sign invariant {sign_invariant:.3e} below {SIGN_INVARIANT_TOL:.0e}"
         )
-    lam, s = _vander_scaled(spectrum)
+    lam, s = scaled or _vander_scaled(spectrum)
     squares = np.linalg.solve(lam, quads / s ** np.arange(3))
     floor = max(float(np.max(np.abs(squares))), 1e-300)
     if float(np.min(squares)) < NEGATIVE_SQUARE_HARD * floor:
@@ -157,15 +167,16 @@ def vector_from_quadratics(quads, sign_invariant: float, spectrum) -> np.ndarray
     return vec
 
 
-def _inverse_factor(spectrum, vector) -> np.ndarray:
-    """(Vandermonde * diag(vector))^{-1} for one site, kept well scaled."""
+def _inverse_factor(spectrum, vector, scaled=None) -> np.ndarray:
+    """(Vandermonde * diag(vector))^{-1} for one site, kept well scaled; ``scaled`` is the
+    site's ``_vander_scaled`` pair when it is known."""
     spectrum, vector = _three("spectrum", spectrum), _three("vector", vector)
     det_product = _det_vander(spectrum) * float(np.prod(vector))
     if abs(det_product) <= SIGN_INVARIANT_TOL:
         raise SingularSystem(
             f"site factor determinant {det_product:.3e} below {SIGN_INVARIANT_TOL:.0e}"
         )
-    lam, s = _vander_scaled(spectrum)
+    lam, s = scaled or _vander_scaled(spectrum)
     k = np.linalg.inv(lam @ np.diag(vector))
     return k / (s ** np.arange(3))[None, :]
 
@@ -218,8 +229,11 @@ class VandermondeSystem:
 
     def verify_determinants(self, rtol: float = VANDER_DET_RTOL) -> None:
         """Product formula vs direct determinant, on scaled nodes."""
-        for site in range(3):
-            lam, s = _vander_scaled(self.spectra[site])
+        self._verify_determinants([_vander_scaled(spectrum) for spectrum in self.spectra], rtol)
+
+    def _verify_determinants(self, scaled, rtol: float = VANDER_DET_RTOL) -> None:
+        """``verify_determinants`` on each site's ``_vander_scaled`` pair."""
+        for site, (lam, s) in enumerate(scaled):
             direct = float(np.linalg.det(lam)) * s**3
             formula = self.det_vander(site)
             tol = rtol * max(abs(formula), abs(direct), 1e-300)
@@ -256,14 +270,16 @@ def reconstruct_canonical(inv: InvariantSet3) -> CanonicalPoint:
                 f"{label} sign invariant {value:.3e} below {SIGN_INVARIANT_TOL:.0e}"
             )
     spectra = tuple(spectra_from_traces(inv.trace_family(site)) for site in range(3))
+    # One scaled Vandermonde matrix per site serves its vector, its determinant check and its factor.
+    scaled = [_vander_scaled(spectrum) for spectrum in spectra]
     vectors = tuple(
-        vector_from_quadratics(inv.quad_family(site), float(signs[site]), spectra[site])
+        _vector_from_quadratics(inv.quad_family(site), float(signs[site]), spectra[site], scaled[site])
         for site in range(3)
     )
     system = VandermondeSystem(spectra=spectra, vectors=vectors)
-    system.verify_determinants()
+    system._verify_determinants(scaled)
     system.verify_signs(signs)
-    factors = np.array([_inverse_factor(sp, vec) for sp, vec in zip(spectra, vectors)])[:, None]
+    factors = np.array([_inverse_factor(*site) for site in zip(spectra, vectors, scaled)])[:, None]
     # The canonical vectors, then the 54 pair and triple members in flatten() order:
     # one contraction with the inverse factors turns those mixed blocks canonical.
     parts = _split(np.concatenate((np.ravel(vectors), inv.values[21:]))[None], 3)

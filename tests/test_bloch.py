@@ -5,7 +5,7 @@ import pytest
 
 import qorbit as q
 from qorbit.bloch import PAULI, BlochTensor, bloch_from_payload, bloch_payload
-from qorbit.errors import NotPositive, ParseError, ShapeMismatch, UnsupportedShape
+from qorbit.errors import NotPositive, ParseError, ShapeMismatch, UnsupportedShape, ValidationError
 
 from conftest import partial_trace
 
@@ -131,6 +131,28 @@ class TestTensorType:
     def test_from_flat_unsupported_n(self, n):
         with pytest.raises(q.UnsupportedShape):
             BlochTensor.from_flat(n, np.zeros(3))
+
+    @pytest.mark.parametrize("n", [True, 1.0, 2.0, np.int64(3)])
+    def test_non_int_n_unsupported(self, n):
+        # True and 1.0 compare equal to 1, so a lookup alone would accept them.
+        with pytest.raises(UnsupportedShape):
+            BlochTensor(n=n, alpha=np.zeros(3))
+        with pytest.raises(UnsupportedShape):
+            BlochTensor.from_flat(n, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "pair_13", "triple"])
+    def test_non_finite_component_rejected(self, bad, name):
+        t = q.expand(q.random_state(q.SystemShape((2, 2, 2)), seed=7))
+        parts = dict(t.component_items())
+        parts[name] = parts[name].copy()
+        parts[name].flat[-1] = bad
+        with pytest.raises(ValidationError, match=f"component '{name}' has a non-finite entry"):
+            BlochTensor(n=3, **parts)
+        flat = t.flatten()
+        flat[5] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            BlochTensor.from_flat(3, flat)
 
 
 class TestBlochFiles:

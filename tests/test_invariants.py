@@ -216,3 +216,14 @@ def test_truncated_invariant_names_are_parse_error(n, names):
     payload = {"n": n, "names": list(names), "values": [0.0] * len(names)}
     with pytest.raises(ParseError, match="invariant names do not match the canonical list"):
         invariant_payload_to_values(payload)
+
+
+@pytest.mark.parametrize("family, size", [(q.InvariantSet3, 75), (q.InvariantSet2, 14)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_invariant_values_rejected(family, size, bad):
+    values = np.zeros(size)
+    values[size // 2] = bad
+    with pytest.raises(q.ValidationError, match="invariant vector has a non-finite entry"):
+        family(values)
+    with pytest.raises(q.ValidationError):
+        family(np.full(size, bad))

@@ -9,8 +9,10 @@ from qorbit.errors import (
     NegativeSquare,
     ShapeMismatch,
     SingularSystem,
+    ValidationError,
     ZeroSignInvariant,
 )
+from qorbit import reconstruction
 from qorbit.reconstruction import reconstruct_canonical
 
 
@@ -43,6 +45,15 @@ class TestSpectraFromTraces:
         with pytest.raises(InconsistentTraces):
             q.spectra_from_traces((3.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_trace_rejected(self, bad):
+        with pytest.raises(ValidationError, match="traces has a non-finite entry"):
+            q.spectra_from_traces((bad, 1.0, 1.0))
+
+    def test_wrong_length_is_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="must have 3 entries"):
+            q.spectra_from_traces((6.0, 14.0))
+
 
 class TestVectorFromQuadratics:
     def test_zero_quadratics_flag_non_generic(self):
@@ -66,6 +77,14 @@ class TestVectorFromQuadratics:
         args[name] = list(range(size, 0, -1))
         with pytest.raises(ShapeMismatch, match="must have 3 entries"):
             q.vector_from_quadratics(args["quads"], 1.0, args["spectrum"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["quads", "spectrum", "sign"])
+    def test_non_finite_input_rejected(self, name, bad):
+        args = {"quads": [0.38, 0.7, 1.42], "spectrum": [3.0, 2.0, 1.0], "sign": 0.012}
+        args[name] = bad if name == "sign" else [1.0, bad, 1.0]
+        with pytest.raises(ValidationError, match="not finite|non-finite entry"):
+            q.vector_from_quadratics(args["quads"], args["sign"], args["spectrum"])
 
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_round_trip_recovers_canonical_vector(self, seed):
@@ -98,6 +117,13 @@ class TestPairFromMixed:
         args = [np.array([3.0, 2.0, 1.0]), np.array([0.5, 0.4, 0.3])] * 2
         args[position] = np.arange(size, 0.0, -1.0)
         with pytest.raises(ShapeMismatch, match="must have 3 entries"):
+            q.pair_from_mixed(np.eye(3), *args)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_factor_input_rejected(self, position):
+        args = [np.array([3.0, 2.0, 1.0]), np.array([0.5, 0.4, 0.3])] * 2
+        args[position] = np.array([3.0, np.nan, 1.0])
+        with pytest.raises(ValidationError, match="non-finite entry"):
             q.pair_from_mixed(np.eye(3), *args)
 
     @pytest.mark.parametrize("seed", [7, 8])
@@ -202,4 +228,14 @@ class TestReconstructCanonical:
         t = q.expand(rho)
         rebuilt = reconstruct_canonical(q.invariants3(t))
         point = q.canonicalize3(t)
+        assert np.max(np.abs(rebuilt.tensor.flatten() - point.tensor.flatten())) <= 1e-5
+
+    def test_one_vandermonde_matrix_per_site(self, monkeypatch):
+        # The vector, the determinant check and the inverse factor of a site share one matrix.
+        _, point, inv = canonical_and_invariants(22)
+        built = []
+        vander_scaled = reconstruction._vander_scaled
+        monkeypatch.setattr(reconstruction, "_vander_scaled", lambda sp: built.append(sp) or vander_scaled(sp))
+        rebuilt = reconstruct_canonical(inv)
+        assert len(built) == 3
         assert np.max(np.abs(rebuilt.tensor.flatten() - point.tensor.flatten())) <= 1e-5
