@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochTensor, _flat, _mv, _parts, _rotate, _site_vectors, _tensor, _top, bloch_payload
-from .errors import UnsupportedShape, _raise_first
+from .errors import UnsupportedShape
 from .invariants import _eigen, _gram_mats, _triple_product
-from .local_action import RotationTriple, _rotation_errors
+from .local_action import RotationTriple, _check_rotations
 from .tolerances import COMPONENT_TOL, EIGENGAP_RTOL, KLEIN_SIGN_RTOL, SIGN_INVARIANT_TOL
 
 KLEIN = (
@@ -83,7 +83,7 @@ def _gap_and_trace(s0: float, s1: float, s2: float) -> tuple[float, float]:
     return min(s0 - s1, s1 - s2), 0.0 + s0 + s1 + s2
 
 
-def _reports(spectra: np.ndarray, vecs: np.ndarray) -> list[GenericityReport]:
+def _reports(spectra: np.ndarray, vecs: np.ndarray) -> tuple[GenericityReport, ...]:
     """One report per batch member from site-major Gram spectra (n, B, 3) and site
     vectors in eigenframe gauge (n, B, 3)."""
     n = len(spectra)
@@ -111,7 +111,7 @@ def _reports(spectra: np.ndarray, vecs: np.ndarray) -> list[GenericityReport]:
             sign_invariants=tuple(member[2]) + (None,) * (3 - n),
             generic=generic,
         ))
-    return reports
+    return tuple(reports)
 
 
 def genericity(t: BlochTensor) -> GenericityReport:
@@ -124,8 +124,7 @@ def genericity(t: BlochTensor) -> GenericityReport:
     if t.n not in (2, 3):
         raise UnsupportedShape(f"genericity is defined for n=2 or 3, got n={t.n}")
     parts = _parts(t)
-    spectra, frames, errors = _eigen(_gram_mats(_top(parts)))
-    _raise_first(errors)
+    spectra, frames = _eigen(_gram_mats(_top(parts)))
     return _reports(spectra, _mv(frames.swapaxes(-1, -2), _site_vectors(parts)))[0]
 
 
@@ -156,18 +155,18 @@ def _canonical3(parts: dict, g: np.ndarray):
     Diagonalizes the three Gram matrices by per-site special orthogonal
     eigenframes (eigenvalues decreasing), then applies the per-site Klein
     element that makes alpha, beta, gamma each uniform in sign. Returns
-    the canonical components, the site-major gauge (3, B, 3, 3), one report
-    per member and the first error of each member (None if it passes).
+    the canonical components, the site-major gauge (3, B, 3, 3) and one
+    report per member; raises the first failing member's error.
     """
-    spectra, frames, errors = _eigen(g)
+    spectra, frames = _eigen(g)
     to_frame = frames.swapaxes(-1, -2)
     klein = np.array([_uniform_sign_element(v) for v in _mv(to_frame, _site_vectors(parts)).reshape(-1, 3)])
     # One composed transform, so replaying the gauge reproduces the
     # canonical tensor bit for bit.
     gauge = klein.reshape(g.shape) @ to_frame
-    errors = [e or r for e, r in zip(errors, _rotation_errors(gauge))]
+    _check_rotations(gauge)
     canonical = _rotate(parts, gauge)
-    return canonical, gauge, _reports(spectra, _site_vectors(canonical)), errors
+    return canonical, gauge, _reports(spectra, _site_vectors(canonical))
 
 
 def _canonical2(parts: dict):
@@ -198,11 +197,10 @@ def _canonical2(parts: dict):
     # key first, so its [0] is the first smallest key.
     best = np.lexsort(np.array(keys).transpose(2, 0, 1)[::-1], axis=-1)[:, 0]
     gauge = np.array((_KLEIN_STACK[best // 4] @ r1, _KLEIN_STACK[best % 4] @ r2))
-    rotation_errors = _rotation_errors(gauge)
+    _check_rotations(gauge)
     canonical = _rotate(parts, gauge)
-    spectra, _, errors = _eigen(_gram_mats(_top(canonical)))
-    errors = [r or e for r, e in zip(rotation_errors, errors)]
-    return canonical, gauge, _reports(spectra, _site_vectors(canonical)), errors
+    spectra, _ = _eigen(_gram_mats(_top(canonical)))
+    return canonical, gauge, _reports(spectra, _site_vectors(canonical))
 
 
 def _last_sign(f: np.ndarray) -> np.ndarray:
@@ -222,8 +220,7 @@ def _canonical(parts: dict, n: int, g: np.ndarray | None = None):
 
 
 def _point(t: BlochTensor) -> CanonicalPoint:
-    canonical, gauge, reports, errors = _canonical(_parts(t), t.n)
-    _raise_first(errors)
+    canonical, gauge, reports = _canonical(_parts(t), t.n)
     return CanonicalPoint(tensor=_tensor(canonical, t.n, 0), gauge=RotationTriple._checked(gauge[:, 0]),
                           report=reports[0])
 

@@ -26,7 +26,7 @@ from scipy.optimize import minimize
 
 from .bloch import PAULI, _expand, _flat, _split, _top
 from .canonical import GenericityReport, _canonical
-from .errors import ShapeMismatch, UnsupportedShape, ValidationError, _raise_first
+from .errors import ShapeMismatch, UnsupportedShape, ValidationError
 from .invariants import _fingerprint, _gram_mats, coefficient_scale, first_disagreement
 from .local_action import LocalUnitary
 from .states import DensityMatrix, _rng
@@ -122,9 +122,7 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
             ),
         )
 
-    canonical, _, reports, errors = _canonical(parts, n, g)
-    _raise_first(errors)
-    reports = tuple(reports)
+    canonical, _, reports = _canonical(parts, n, g)
     if not (reports[0].generic and reports[1].generic):
         return EquivalenceVerdict(
             verdict="inconclusive",

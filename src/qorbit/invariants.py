@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fileio
 from .bloch import BlochTensor, _flat, _mv, _parts, _rotate, _site_vectors, _top, reconstruct
-from .errors import NumericalError, ParseError, UnsupportedShape, ValidationError, _raise_first
+from .errors import NumericalError, ParseError, ShapeMismatch, UnsupportedShape, ValidationError
 from .tolerances import (
     COEFFICIENT_SCALE_FLOOR, COMPARE_ABS_FLOOR, COMPARE_RTOL, GRAM_PAIR_SPECTRA_TOL, GRAM_PSD_TOL,
     PURITY_IDENTITY_TOL,
@@ -91,7 +91,7 @@ def _gram_mats(top: np.ndarray) -> np.ndarray:
 
 def _eigen(mats: np.ndarray):
     """Decreasing spectra (n, B, 3) and det-+1 eigenframes (n, B, 3, 3) of a site-major
-    Gram stack, with the error each batch member raises (None if it passes)."""
+    Gram stack; raises the error of the first batch member that fails a check."""
     # One stacked eigh and det: LAPACK still factors each matrix on its own.
     vals, vecs = np.linalg.eigh(mats)
     spectra = vals[..., ::-1].copy()
@@ -100,16 +100,13 @@ def _eigen(mats: np.ndarray):
     lows = spectra[..., -1].T.tolist()
     # The two 2-qubit Gram matrices share a spectrum; three 3-qubit ones need not.
     pair_devs = np.abs(spectra[0] - spectra[1]).max(axis=1).tolist() if len(mats) == 2 else [0.0] * len(lows)
-    errors = []
     for member_lows, pair_dev in zip(lows, pair_devs):
-        low = next((low for low in member_lows if low < GRAM_PSD_TOL), None)
-        if low is not None:
-            errors.append(NumericalError(f"Gram matrix has negative eigenvalue {low:.3e}"))
-        elif pair_dev > GRAM_PAIR_SPECTRA_TOL:
-            errors.append(NumericalError(f"two-qubit Gram spectra disagree beyond {GRAM_PAIR_SPECTRA_TOL:.0e}"))
-        else:
-            errors.append(None)
-    return spectra, frames, errors
+        for low in member_lows:
+            if low < GRAM_PSD_TOL:
+                raise NumericalError(f"Gram matrix has negative eigenvalue {low:.3e}")
+        if pair_dev > GRAM_PAIR_SPECTRA_TOL:
+            raise NumericalError(f"two-qubit Gram spectra disagree beyond {GRAM_PAIR_SPECTRA_TOL:.0e}")
+    return spectra, frames
 
 
 def gram(t: BlochTensor) -> GramTriple:
@@ -123,8 +120,7 @@ def gram(t: BlochTensor) -> GramTriple:
     if t.n not in (2, 3):
         raise UnsupportedShape(f"Gram matrices are defined for n=2 or 3, got n={t.n}")
     mats = _gram_mats(_top(_parts(t)))
-    spectra, frames, errors = _eigen(mats)
-    _raise_first(errors)
+    spectra, frames = _eigen(mats)
     return GramTriple(n=t.n, mats=tuple(mats[:, 0]), spectra=tuple(spectra[:, 0]), frames=tuple(frames[:, 0]))
 
 
@@ -187,7 +183,7 @@ class _InvariantSet:
     def __post_init__(self):
         v = np.array(self.values, dtype=float)
         if v.shape != (len(self.NAMES),):
-            raise ValueError(f"expected {len(self.NAMES)} values, got shape {v.shape}")
+            raise ShapeMismatch(f"expected {len(self.NAMES)} values, got shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValidationError("invariant vector has a non-finite entry")
         v.setflags(write=False)

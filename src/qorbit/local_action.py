@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import PAULI, BlochTensor, _parts, _rotate, _tensor
-from .errors import (
-    NotSpecialOrthogonal,
-    NotSpecialUnitary,
-    ShapeMismatch,
-    _raise_first,
-)
+from .errors import NotSpecialOrthogonal, NotSpecialUnitary, ShapeMismatch
 from .states import DensityMatrix, SystemShape, _rng
 from .tolerances import LIFT_BRANCH_TOL, SPECIAL_TOL, UNITARITY_TOL
 
@@ -74,7 +69,7 @@ class RotationTriple:
         # Check the rotations before the first misshapen one, so errors come
         # in the same site order as checking one by one.
         if n_shaped:
-            _raise_first(_rotation_errors(np.array(mats[:n_shaped])[:, None]))
+            _check_rotations(np.array(mats[:n_shaped])[:, None])
         if n_shaped < len(mats):
             raise ShapeMismatch(f"rotation {n_shaped} has shape {mats[n_shaped].shape}")
         for o in mats:
@@ -87,7 +82,7 @@ class RotationTriple:
 
     @classmethod
     def _checked(cls, stack: np.ndarray) -> "RotationTriple":
-        """Read-only copies of a (k, 3, 3) stack that ``_rotation_errors`` has passed,
+        """Read-only copies of a (k, 3, 3) stack that ``_check_rotations`` has passed,
         without checking it again."""
         triple = object.__new__(cls)
         mats = tuple(np.array(o) for o in stack)
@@ -101,22 +96,18 @@ class RotationTriple:
         return cls(tuple(np.eye(3) for _ in range(n)))
 
 
-def _rotation_errors(stack: np.ndarray) -> list:
-    """The error of the first rotation failing its SO(3) checks, per member of a site-major
-    (k, B, 3, 3) stack (None if all pass); one stacked check for the whole stack."""
+def _check_rotations(stack: np.ndarray) -> None:
+    """Raise for the first rotation failing its SO(3) checks in the first failing member of a
+    site-major (k, B, 3, 3) stack; one stacked check for the whole stack."""
     devs = np.abs(stack.swapaxes(-1, -2) @ stack - np.eye(3)).max(axis=(-2, -1))
     det_devs = np.abs(_det(stack) - 1.0)
-    errors = []
     for member in zip(devs.T.tolist(), det_devs.T.tolist()):
-        errors.append(next((
-            NotSpecialOrthogonal(
-                f"rotation {r}: orthogonality residue {dev:.3e}, |det - 1| = {det_dev:.3e}",
-                margin=max(dev, det_dev),
-            )
-            for r, (dev, det_dev) in enumerate(zip(*member))
-            if not (dev <= UNITARITY_TOL and det_dev <= UNITARITY_TOL)  # NaN fails too
-        ), None))
-    return errors
+        for r, (dev, det_dev) in enumerate(zip(*member)):
+            if not (dev <= UNITARITY_TOL and det_dev <= UNITARITY_TOL):  # NaN fails too
+                raise NotSpecialOrthogonal(
+                    f"rotation {r}: orthogonality residue {dev:.3e}, |det - 1| = {det_dev:.3e}",
+                    margin=max(dev, det_dev),
+                )
 
 
 def apply(u: LocalUnitary, rho: DensityMatrix) -> DensityMatrix:

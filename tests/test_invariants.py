@@ -227,3 +227,11 @@ def test_non_finite_invariant_values_rejected(family, size, bad):
         family(values)
     with pytest.raises(q.ValidationError):
         family(np.full(size, bad))
+
+
+@pytest.mark.parametrize("family, size", [(q.InvariantSet3, 75), (q.InvariantSet2, 14)])
+def test_wrong_length_invariant_vector_is_shape_mismatch(family, size):
+    for shape in [(3,), (size - 1,), (size + 1,), (1, size), ()]:
+        with pytest.raises(q.ShapeMismatch) as info:
+            family(np.zeros(shape))
+        assert str(info.value) == f"expected {size} values, got shape {shape}"

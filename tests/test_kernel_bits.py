@@ -6,7 +6,8 @@ Python loops; every rounded operation stays, so results are compared bit
 for bit (signed zeros included), never with a tolerance. The one
 exception is ``bloch.reconstruct`` at n >= 2: its single flat tensordot
 sums the Pauli words in another order than the per-component loop, so it
-is held to one rounding (2.2e-16) there and compared bit for bit at n = 1.
+is held there to a rounding bound derived from the terms of the two sums,
+and compared bit for bit at n = 1.
 
 ``orbit_dimension`` streams row blocks of rho instead of ranking the
 materialized tangent frame; its reference is the materializing version,
@@ -18,7 +19,9 @@ they replaced (``expand``, ``gram``, ``invariants2``, ``invariants3``,
 ``canonicalize2``, ``canonicalize3``, ``genericity`` and ``transform_bloch``
 with their helpers) are kept below as ``*_head`` references. Every batched
 kernel must equal them bit for bit as a batch of one (the public
-functions) and as either member of a batch of two.
+functions) and as either member of a batch of two whose members pass. A
+failing batch raises, at the first check stage that some member fails,
+the error of the first member failing it.
 
 The Bloch component layout, the Kronecker product of per-site factors and
 the SO(3) -> SU(2) lift each have a reference written independently of the
@@ -31,19 +34,19 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qorbit as q
 from qorbit import bloch, invariants, orbit_dim, reconstruction
 from qorbit.bloch import BlochTensor, _component_words, _expand, _flat, _rotate, _split
 from qorbit.canonical import (
-    KLEIN, KLEIN_SIGN_RTOL, CanonicalPoint, _canonical, _reports, _signs, _uniform_sign_element, genericity,
+    KLEIN, KLEIN_SIGN_RTOL, CanonicalPoint, _canonical, _reports, _uniform_sign_element, genericity,
 )
 from qorbit.errors import ConstraintViolation, NotSpecialOrthogonal, NumericalError, ShapeMismatch, ToolkitError
 from qorbit.invariants import GRAM_PSD_TOL, _eigen, _fingerprint, _gram_mats, _power_vectors, _triple_product
 from qorbit.local_action import (
-    LIFT_BRANCH_TOL, SPECIAL_TOL, UNITARITY_TOL, RotationTriple, _rotation_errors, transform_bloch,
+    LIFT_BRANCH_TOL, SPECIAL_TOL, UNITARITY_TOL, RotationTriple, _check_rotations, transform_bloch,
 )
 from qorbit.orbit_dim import OrbitDimension
 from qorbit.reconstruction import (
@@ -203,6 +206,10 @@ def canonicalize3_head(t):
     return CanonicalPoint(tensor=canonical, gauge=gauge, report=report)
 
 
+def signs_head(vec, tol):
+    return tuple(0.0 if abs(v) <= tol else (1.0 if v > 0 else -1.0) for v in vec)
+
+
 KLEIN_DIAGONALS_HEAD = tuple(tuple(np.diag(k).tolist()) for k in KLEIN)
 KLEIN_FIRST_HEAD = np.repeat(KLEIN_DIAGONALS_HEAD, 4, axis=0)
 KLEIN_SECOND_HEAD = np.tile(KLEIN_DIAGONALS_HEAD, (4, 1))
@@ -216,7 +223,7 @@ def canonicalize2_head(t):
     r2 = np.array((vt.T @ np.diag([1.0, 1.0, dv])).T)
     alpha, beta, pair = r1 @ t.alpha, r2 @ t.beta, r1 @ t.pair_12 @ r2.T
     tol = KLEIN_SIGN_RTOL * (1.0 + float(np.abs(np.concatenate((alpha, beta, pair), axis=None)).max()))
-    sa, sb, sd = (np.array(_signs(v, tol)) for v in (alpha, beta, np.diag(pair)))
+    sa, sb, sd = (np.array(signs_head(v, tol)) for v in (alpha, beta, np.diag(pair)))
     keys = np.hstack((KLEIN_FIRST_HEAD * sa, KLEIN_SECOND_HEAD * sb, KLEIN_FIRST_HEAD * KLEIN_SECOND_HEAD * sd))
     best = int(np.lexsort(keys.T[::-1])[0])
     gauge = RotationTriple((KLEIN[best // 4] @ r1, KLEIN[best % 4] @ r2))
@@ -340,7 +347,7 @@ def canonicalize2_ref(t):
     base_rot = RotationTriple((o1.T, o2.T))
     base = transform_bloch(t, base_rot)
     tol = KLEIN_SIGN_RTOL * (1.0 + base.max_abs())
-    sa, sb, sd = (np.array(_signs(v, tol)) for v in (base.alpha, base.beta, np.diag(base.pair_12)))
+    sa, sb, sd = (np.array(signs_head(v, tol)) for v in (base.alpha, base.beta, np.diag(base.pair_12)))
 
     def key(pair):
         s1, s2 = np.diag(pair[0]), np.diag(pair[1])
@@ -579,16 +586,21 @@ def tensors(n):
         lambda parts: BlochTensor(n=n, **dict(zip(names, parts))))
 
 
+def depolarized(n: int, rank: int, seed: int, p: float) -> q.DensityMatrix:
+    """A random n-qubit state of the given rank, mixed toward 1/2^n with weight 1 - p."""
+    shape = q.SystemShape((2,) * n)
+    rho = q.random_state(shape, rank=rank, seed=seed)
+    d = 2**n
+    return q.DensityMatrix(shape, (1.0 - p) * np.eye(d) / d + p * rho.matrix)
+
+
 def states(n):
     """Random states of every rank, some depolarized toward 1e-150 contrast."""
     @st.composite
     def draw(draw_):
-        shape = q.SystemShape((2,) * n)
         rank = draw_(st.integers(1, 2**n))
-        rho = q.random_state(shape, rank=rank, seed=draw_(st.integers(0, 10**6)))
-        p = draw_(st.sampled_from([1.0, 0.5, 1e-3, 1e-50, 1e-150]))
-        d = 2**n
-        return q.DensityMatrix(shape, (1.0 - p) * np.eye(d) / d + p * rho.matrix)
+        seed = draw_(st.integers(0, 10**6))
+        return depolarized(n, rank, seed, draw_(st.sampled_from([1.0, 0.5, 1e-3, 1e-50, 1e-150])))
     return draw()
 
 
@@ -657,6 +669,8 @@ def two_qubit_cases() -> dict:
         "rank-1 pair, no vectors": (zero, zero, np.outer(a, b)),
         "diagonal pair, zero components": ([0.5, 0.0, -0.2], [0.0, 0.0, 0.3], np.diag([3.0, 2.0, 1.0])),
         "diagonal pair, signed zeros": ([-0.0, 0.25, 0.0], [0.0, -0.0, -0.5], np.diag([-3.0, 2.0, -1.0])),
+        # KLEIN_SIGN_RTOL * (1 + 3) rounds to exactly 4e-12: components on the sign tolerance.
+        "components on the sign tolerance": ([4e-12, 0.5, -0.2], [0.0, -4e-12, 0.3], np.diag([3.0, 2.0, 1.0])),
         "identity pair, one vector": ([0.0, 0.0, 0.1], zero, np.eye(3)),
     }
     tensors_ = {name: BlochTensor(n=2, alpha=np.array(x, dtype=float), beta=np.array(y, dtype=float),
@@ -945,13 +959,19 @@ def same_outcome(got, want) -> bool:
     return same_point(got, want)
 
 
-def batch_member_point(batch, n: int, b: int):
-    """Member b of a batched canonical result, as a point or as the type and message of its error."""
-    canonical, gauge, reports, errors = batch
-    if errors[b] is not None:
-        return type(errors[b]), str(errors[b])
+def batch_member_point(batch, n: int, b: int) -> CanonicalPoint:
+    """Member b of a batched canonical result, as a point."""
+    canonical, gauge, reports = batch
     return CanonicalPoint(tensor=bloch._tensor(canonical, n, b), gauge=RotationTriple(tuple(gauge[:, b])),
                           report=reports[b])
+
+
+def scaled_rank_one3(seed: int, scale: float) -> BlochTensor:
+    """A three-qubit tensor of outer products with its triple scaled up, so that eigh rounds
+    a zero Gram eigenvalue far below GRAM_PSD_TOL (and differently for each seed)."""
+    a, b, c = np.random.default_rng(seed).standard_normal((3, 3))
+    return BlochTensor(n=3, alpha=a, beta=b, gamma=c, pair_12=np.outer(a, b), pair_13=np.outer(a, c),
+                       pair_23=np.outer(b, c), triple=scale * np.einsum("i,j,k->ijk", a, b, c))
 
 
 def tensor_pairs(n):
@@ -959,6 +979,33 @@ def tensor_pairs(n):
 
 
 state_pairs = st.integers(2, 3).flatmap(lambda n: st.tuples(states(n), states(n)))
+
+
+def raised(fn, *args):
+    """The result of fn, or the error it raised."""
+    try:
+        return fn(*args)
+    except ToolkitError as exc:
+        return exc
+
+
+def same_error(got, want) -> bool:
+    """The same type, message and margin (bit for bit, or None for both)."""
+    margins = getattr(got, "margin", None), getattr(want, "margin", None)
+    return (type(got) is type(want) and str(got) == str(want)
+            and (margins == (None, None) or same_bits(*margins)))
+
+
+# The check stages of each canonical construction, in the order it runs them.
+CANONICAL_STAGES = {2: (NotSpecialOrthogonal, NumericalError), 3: (NumericalError, NotSpecialOrthogonal)}
+
+
+def first_failure(results, stages):
+    """The error a batch raises, from each member's result or error alone: at the first
+    stage that some member fails, the error of the first member failing it (None if all pass)."""
+    failing = [(next(i for i, kind in enumerate(stages) if isinstance(r, kind)), b)
+               for b, r in enumerate(results) if isinstance(r, ToolkitError)]
+    return results[min(failing)[1]] if failing else None
 
 
 class TestPairBatch:
@@ -1001,22 +1048,28 @@ class TestPairBatch:
         if g is None:
             g = _gram_mats(parts["triple"] if n == 3 else parts["pair_12"])
         _, values = _fingerprint(parts, g, n)
-        batch = _canonical(parts, n, g)
-        spectra, frames, errors = _eigen(g)
         mats = np.array([[rotation(7 * b + k, 1e-13, b == 1) for b in range(2)] for k in range(n)])
         rotated = _flat(_rotate(parts, mats))
         for b, t in enumerate(tensors_):
             assert same_bits(g[:, b], np.array(gram_mats_head(t.triple if n == 3 else t.pair_12)))
             assert same_bits(values[b], fingerprint_head(t))
-            assert same_point(batch_member_point(batch, n, b), outcome(canonicalize_head, t))
-            head = outcome(gram_head, t)
-            if errors[b] is None:
-                assert same_bits(spectra[:, b], np.array(head.spectra))
-                assert same_bits(frames[:, b], np.array(head.frames))
-            else:
-                assert (type(errors[b]), str(errors[b])) == head
             moved = transform_bloch_head(t, unchecked_rotations([m[b] for m in mats]))
             assert same_bits(rotated[b], moved.flatten())
+        heads = [raised(gram_head, t) for t in tensors_]
+        got, want = raised(_eigen, g), first_failure(heads, (NumericalError,))
+        if want is not None:
+            assert same_error(got, want)
+        else:
+            for b, head in enumerate(heads):
+                assert same_bits(got[0][:, b], np.array(head.spectra))
+                assert same_bits(got[1][:, b], np.array(head.frames))
+        heads = [raised(canonicalize_head, t) for t in tensors_]
+        got, want = raised(_canonical, parts, n, g), first_failure(heads, CANONICAL_STAGES[n])
+        if want is not None:
+            assert same_error(got, want)
+        else:
+            for b, head in enumerate(heads):
+                assert same_point(batch_member_point(got, n, b), head)
 
     @settings(max_examples=100, deadline=None)
     @given(state_pairs)
@@ -1034,6 +1087,8 @@ class TestPairBatch:
     @pytest.mark.filterwarnings("ignore:divide by zero encountered in det:RuntimeWarning")
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 3).flatmap(tensor_pairs))
+    @example((scaled_rank_one3(0, 1e4), scaled_rank_one3(2, 1e3)))
+    @example((q.expand(q.random_state(q.SystemShape((2, 2, 2)), seed=1)), scaled_rank_one3(8, 1e4)))
     def test_either_member_of_a_tensor_pair(self, pair):
         self.assert_either_member(list(pair), pair[0].n)
 
@@ -1048,16 +1103,30 @@ class TestPairBatch:
         with pytest.raises(NumericalError, match="residue 1.250e-04"):
             _expand(np.array((rho.matrix, worse)), 3)
 
+    def test_gram_error_of_the_first_member_first(self):
+        """Each member as its list of Gram matrices; three sites have no pair check."""
+        ok, low, lower = np.diag([3.0, 2.0, 1.0]), np.diag([3.0, 2.0, -1e-9]), np.diag([3.0, 2.0, -1e-6])
+        split = np.diag([3.0, 2.0, 1.0 + 1e-9])
+        cases = [
+            (((ok, ok, low), (lower, ok, ok)), "Gram matrix has negative eigenvalue -1.000e-09"),
+            (((lower, ok, ok), (ok, ok, low)), "Gram matrix has negative eigenvalue -1.000e-06"),
+            (((ok, split), (low, low)), "two-qubit Gram spectra disagree beyond 1e-12"),
+            (((low, low), (ok, split)), "Gram matrix has negative eigenvalue -1.000e-09"),
+        ]
+        for members, message in cases:
+            with pytest.raises(NumericalError) as info:
+                _eigen(np.array(members).swapaxes(0, 1))
+            assert str(info.value) == message
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(rotations, min_size=3, max_size=3), st.lists(rotations, min_size=3, max_size=3))
     def test_rotation_errors_of_either_member(self, first, second):
-        errors = _rotation_errors(np.array([first, second]).swapaxes(0, 1))
-        for mats, error in zip((first, second), errors):
-            ref = rotation_error_ref(mats)
-            if ref is None:
-                assert error is None
-            else:
-                assert str(error) == ref[1] and same_bits(error.margin, ref[2])
+        got = raised(_check_rotations, np.array([first, second]).swapaxes(0, 1))
+        want = next((ref for ref in map(rotation_error_ref, (first, second)) if ref is not None), None)
+        if want is None:
+            assert got is None
+        else:
+            assert type(got) is NotSpecialOrthogonal and str(got) == want[1] and same_bits(got.margin, want[2])
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(states(2), states(3)), st.integers(0, 10**6))
@@ -1081,10 +1150,32 @@ class TestReconstruction:
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(states(2), states(3)))
+    # Two states whose sums differ by 2^-52, more than a truncated eps.
+    @example(depolarized(3, rank=1, seed=1823, p=1.0))
+    @example(depolarized(2, rank=1, seed=1078, p=1.0))
     def test_reconstruct_within_one_rounding(self, rho):
-        """One tensordot over the flat stack sums the words in another order than per component."""
+        """One tensordot over the flat stack sums the words in another order than per component.
+
+        Every product in either sum is exact: a real coefficient times a
+        Pauli word entry of 0, +-1 or +-i. At each entry 2^n words are
+        nonzero, counting the identity word (the 1/2^n term) on the
+        diagonal, so the real and the imaginary part each sum at most 2^n
+        nonzero terms, with k = 2^n - 1 roundings. In any order such a sum
+        lands within gamma_k * A of the exact sum, where gamma_k =
+        k u / (1 - k u), u = 2^-53 and A is the sum of the terms' magnitudes
+        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4). So
+        the two orders differ by at most 2 gamma_k A. A is the same
+        reconstruction from |c_w| and |P_w|; its own rounding, about 1e-15
+        relative, is far inside the bound's slack.
+        """
         t = q.expand(rho)
-        assert np.max(np.abs(q.reconstruct(t).matrix - reconstruct_ref(t))) <= 2.2e-16
+        got, want = q.reconstruct(t).matrix, reconstruct_ref(t)
+        d = 2**t.n
+        k, u = d - 1, 2.0**-53
+        magnitudes = np.eye(d) / d + np.tensordot(np.abs(t.flatten()), np.abs(bloch._flat_words(t.n)), axes=1)
+        bound = 2.0 * k * u / (1.0 - k * u) * magnitudes
+        assert (np.abs(got.real - want.real) <= bound).all()
+        assert (np.abs(got.imag - want.imag) <= bound).all()
 
     @settings(max_examples=100, deadline=None)
     @given(states(3))
