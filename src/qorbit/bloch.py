@@ -20,17 +20,11 @@ import numpy as np
 
 from . import fileio
 from .errors import NumericalError, ParseError, ShapeMismatch, UnsupportedShape, ValidationError
-from .states import DensityMatrix, SystemShape
+from .states import DensityMatrix, SystemShape, generator_basis
 from .tolerances import IMAG_RESIDUE_TOL
 
-PAULI = np.array(
-    [
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ],
-    dtype=complex,
-)
+# sigma_x, sigma_y, sigma_z: the d = 2 generator basis, read-only.
+PAULI = generator_basis(2).generators
 
 # n -> component name -> the site of each of its axes, in axis order; the
 # components are listed in the fixed order used by flatten().
@@ -163,25 +157,15 @@ def _rotate(parts: dict, mats) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def _component_words(n: int) -> dict:
-    """Stacked Pauli-word matrices per component, indexed like the component."""
+def _flat_words(n: int) -> np.ndarray:
+    """Every Pauli word of n qubits in one read-only stack (size, 2^n, 2^n), in flatten() order."""
     eye = np.eye(2, dtype=complex)
-    words = {}
-    for name, sites in _SITES[n].items():
-        stack = np.empty((3,) * len(sites) + (2**n, 2**n), dtype=complex)
+    words = []
+    for sites in _SITES[n].values():
         for idx in itertools.product(range(3), repeat=len(sites)):
             paulis = dict(zip(sites, idx))
-            stack[idx] = functools.reduce(np.kron, [PAULI[paulis[s]] if s in paulis else eye for s in range(n)])
-        stack.setflags(write=False)
-        words[name] = stack
-    return words
-
-
-@functools.lru_cache(maxsize=None)
-def _flat_words(n: int) -> np.ndarray:
-    """All Pauli words of ``_component_words(n)`` in one stack, in flatten() order."""
-    d = 2**n
-    flat = np.concatenate([w.reshape(-1, d, d) for w in _component_words(n).values()])
+            words.append(functools.reduce(np.kron, [PAULI[paulis[s]] if s in paulis else eye for s in range(n)]))
+    flat = np.array(words)
     flat.setflags(write=False)
     return flat
 

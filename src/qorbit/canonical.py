@@ -141,12 +141,12 @@ def _uniform_sign_element(vec: np.ndarray) -> np.ndarray:
     """
     values = vec.tolist()
     signs = _signs(values, KLEIN_SIGN_RTOL * (1.0 + max(map(abs, values))))
-    for k, flips in zip(KLEIN, _KLEIN_DIAGONALS):
-        # A Klein element only flips signs, so k @ vec has these sign patterns.
-        nonzero = {f * v for f, v in zip(flips, signs) if v != 0.0}
-        if len(nonzero) <= 1:
-            return k
-    raise AssertionError("unreachable: some Klein element always aligns signs")
+    # A Klein element only flips signs, so k @ vec has the sign pattern flips * signs. One always
+    # aligns them: flips = s0 s1 s2 * signs when no sign is zero; a zero sign frees its flip.
+    return next(
+        k for k, flips in zip(KLEIN, _KLEIN_DIAGONALS)
+        if len({f * v for f, v in zip(flips, signs) if v != 0.0}) <= 1
+    )
 
 
 def _canonical3(parts: dict, g: np.ndarray):

@@ -30,9 +30,7 @@ from .errors import ShapeMismatch, UnsupportedShape, ValidationError
 from .invariants import _fingerprint, _gram_mats, coefficient_scale, first_disagreement
 from .local_action import LocalUnitary
 from .states import DensityMatrix, _rng
-from .tolerances import (
-    CANONICAL_TOL, COMPARE_RTOL, IDENTICAL_TOL, ORACLE_GTOL, SPECTRUM_TOL, SU2_SERIES_ANGLE,
-)
+from .tolerances import CANONICAL_TOL, COMPARE_RTOL, IDENTICAL_TOL, ORACLE_GTOL, SPECTRUM_TOL
 
 
 @dataclass(frozen=True)
@@ -152,10 +150,8 @@ def _su2(v: np.ndarray) -> np.ndarray:
     """exp(-i v.sigma / 2): rotation by |v| about the axis v."""
     theta = float(np.linalg.norm(v))
     c = np.cos(theta / 2.0)
-    if theta < SU2_SERIES_ANGLE:
-        g = 0.5 - theta * theta / 48.0
-    else:
-        g = np.sin(theta / 2.0) / theta
+    # sin(theta/2) / theta, accurate down to theta = 0.
+    g = 0.5 * np.sinc(theta / (2.0 * np.pi))
     vs = v[0] * PAULI[0] + v[1] * PAULI[1] + v[2] * PAULI[2]
     return c * np.eye(2, dtype=complex) - 1j * g * vs
 

@@ -227,28 +227,28 @@ class VandermondeSystem:
     def det_product(self, site: int) -> float:
         return self.det_vander(site) * float(np.prod(self.vectors[site]))
 
-    def verify_determinants(self, rtol: float = VANDER_DET_RTOL) -> None:
+    def verify_determinants(self) -> None:
         """Product formula vs direct determinant, on scaled nodes."""
-        self._verify_determinants([_vander_scaled(spectrum) for spectrum in self.spectra], rtol)
+        self._verify_determinants([_vander_scaled(spectrum) for spectrum in self.spectra])
 
-    def _verify_determinants(self, scaled, rtol: float = VANDER_DET_RTOL) -> None:
+    def _verify_determinants(self, scaled) -> None:
         """``verify_determinants`` on each site's ``_vander_scaled`` pair."""
         for site, (lam, s) in enumerate(scaled):
             direct = float(np.linalg.det(lam)) * s**3
             formula = self.det_vander(site)
-            tol = rtol * max(abs(formula), abs(direct), 1e-300)
+            tol = VANDER_DET_RTOL * max(abs(formula), abs(direct), 1e-300)
             if abs(direct - formula) > tol:
                 raise ConstraintViolation(
                     f"site {site + 1} Vandermonde determinant mismatch: "
                     f"{direct:.6e} vs {formula:.6e}"
                 )
 
-    def verify_signs(self, sign_invariants, rtol: float = DET_PRODUCT_RTOL) -> None:
+    def verify_signs(self, sign_invariants) -> None:
         """det(Vandermonde * diag) must reproduce each sign invariant."""
         for site in range(3):
             dp = self.det_product(site)
             target = float(sign_invariants[site])
-            if abs(dp - target) > rtol * max(abs(target), 1e-300):
+            if abs(dp - target) > DET_PRODUCT_RTOL * max(abs(target), 1e-300):
                 raise ConstraintViolation(
                     f"site {site + 1} factor determinant {dp:.6e} does not match "
                     f"sign invariant {target:.6e}"

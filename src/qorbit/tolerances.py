@@ -54,8 +54,6 @@ SPECTRUM_TOL = 1e-10
 CANONICAL_TOL = 1e-6
 # equivalence: max|rho1 - rho2| of an identical pair, relative to the largest entry.
 IDENTICAL_TOL = 1e-14
-# equivalence: angle below which the oracle's sin(theta/2)/theta uses its series, absolute (radian).
-SU2_SERIES_ANGLE = 1e-8
 # equivalence: BFGS gradient norm at which an oracle restart stops, absolute.
 ORACLE_GTOL = 1e-12
 # cli: Frobenius residual at which `equiv --oracle` stops restarting, absolute.

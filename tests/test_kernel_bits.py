@@ -39,7 +39,7 @@ from hypothesis import strategies as st
 
 import qorbit as q
 from qorbit import bloch, invariants, orbit_dim, reconstruction
-from qorbit.bloch import BlochTensor, _component_words, _expand, _flat, _rotate, _split
+from qorbit.bloch import BlochTensor, _expand, _flat, _rotate, _split
 from qorbit.canonical import (
     KLEIN, KLEIN_SIGN_RTOL, CanonicalPoint, _canonical, _reports, _uniform_sign_element, genericity,
 )
@@ -364,7 +364,7 @@ def expand_ref(rho):
     """One einsum per component, each with its own residue check."""
     n = rho.shape.n
     parts = {}
-    for name, words in _component_words(n).items():
+    for name, words in component_words_ref(n).items():
         raw = np.einsum("...ab,ba->...", words, rho.matrix) / 2**n
         residue = float(np.max(np.abs(raw.imag)))
         if residue > bloch.IMAG_RESIDUE_TOL:
@@ -460,7 +460,7 @@ def reconstruct_ref(t):
     """1/2^n plus one tensordot per component, summed in component order."""
     d = 2**t.n
     m = np.eye(d, dtype=complex) / d
-    for name, words in _component_words(t.n).items():
+    for name, words in component_words_ref(t.n).items():
         coeff = getattr(t, name)
         m = m + np.tensordot(coeff, words, axes=coeff.ndim)
     return m
@@ -473,6 +473,9 @@ def kron_ref(mats):
         out = np.kron(out, m)
     return out
 
+
+# sigma_x, sigma_y, sigma_z, written out rather than read from the library's generator basis.
+PAULI_REF = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 # Component name -> index pattern over sites (None = identity at that site),
 # in flatten() order.
@@ -499,7 +502,7 @@ def component_words_ref(n):
         axes = sum(1 for p in pattern if p is not None)
         stack = np.empty((3,) * axes + (2**n, 2**n), dtype=complex)
         for idx in itertools.product(range(3), repeat=axes):
-            stack[idx] = kron_ref([eye if p is None else bloch.PAULI[idx[p]] for p in pattern])
+            stack[idx] = kron_ref([eye if p is None else PAULI_REF[idx[p]] for p in pattern])
         words[name] = stack
     return words
 
@@ -889,11 +892,16 @@ class TestLocalActionKernels:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_component_words_match_index_patterns(self, n):
-        got, want = _component_words(n), component_words_ref(n)
-        assert list(got) == list(want) == [name for name, _ in bloch._components(n)]
-        for name in want:
-            assert same_bits(got[name], want[name]), name
-            assert got[name].shape[:-2] == bloch._SHAPES[name]
+        want = component_words_ref(n)
+        assert list(want) == [name for name, _ in bloch._components(n)]
+        for name, words in want.items():
+            assert words.shape[:-2] == bloch._SHAPES[name]
+        d = 2**n
+        assert same_bits(bloch._flat_words(n), np.concatenate([words.reshape(-1, d, d) for words in want.values()]))
+
+    def test_pauli_basis_is_the_literal_table(self):
+        assert same_bits(bloch.PAULI, PAULI_REF)
+        assert not bloch.PAULI.flags.writeable
 
 
 class TestRotationChecks:
