@@ -93,7 +93,10 @@ def _eigen(mats: np.ndarray):
     """Decreasing spectra (n, B, 3) and det-+1 eigenframes (n, B, 3, 3) of a site-major
     Gram stack; raises the error of the first batch member that fails a check."""
     # One stacked eigh and det: LAPACK still factors each matrix on its own.
-    vals, vecs = np.linalg.eigh(mats)
+    try:
+        vals, vecs = np.linalg.eigh(mats)
+    except np.linalg.LinAlgError:
+        raise NumericalError("Gram eigendecomposition did not converge: its entries overflow") from None
     spectra = vals[..., ::-1].copy()
     frames = vecs[..., ::-1].copy()
     frames[..., -1] *= np.where(np.linalg.det(frames) < 0, -1.0, 1.0)[..., None]
@@ -102,9 +105,10 @@ def _eigen(mats: np.ndarray):
     pair_devs = np.abs(spectra[0] - spectra[1]).max(axis=1).tolist() if len(mats) == 2 else [0.0] * len(lows)
     for member_lows, pair_dev in zip(lows, pair_devs):
         for low in member_lows:
-            if low < GRAM_PSD_TOL:
-                raise NumericalError(f"Gram matrix has negative eigenvalue {low:.3e}")
-        if pair_dev > GRAM_PAIR_SPECTRA_TOL:
+            if not low >= GRAM_PSD_TOL:  # NaN fails too: the Gram entries overflow
+                reason = f"negative eigenvalue {low:.3e}" if low < 0 else "a NaN eigenvalue"
+                raise NumericalError(f"Gram matrix has {reason}")
+        if not pair_dev <= GRAM_PAIR_SPECTRA_TOL:
             raise NumericalError(f"two-qubit Gram spectra disagree beyond {GRAM_PAIR_SPECTRA_TOL:.0e}")
     return spectra, frames
 

@@ -29,6 +29,7 @@ from .errors import (
     DegenerateSpectrum,
     InconsistentTraces,
     NegativeSquare,
+    NumericalError,
     ShapeMismatch,
     SingularSystem,
     ValidationError,
@@ -81,7 +82,10 @@ def spectra_from_traces(traces) -> np.ndarray:
     scale = max(abs(t1), math.sqrt(max(t2, 0.0)), abs(t3) ** (1.0 / 3.0))
     if scale < 1e-300:
         return np.zeros(3)
-    p1, p2, p3 = t1 / scale, t2 / scale**2, t3 / scale**3
+    try:
+        p1, p2, p3 = t1 / scale, t2 / scale**2, t3 / scale**3
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalError(f"traces ({t1:.6g}, {t2:.6g}, {t3:.6g}) over- or underflow when scaled") from None
     e1 = p1
     e2 = (p1 * p1 - p2) / 2.0
     e3 = (p1**3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0

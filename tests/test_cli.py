@@ -6,7 +6,7 @@ import pytest
 
 import qorbit as q
 from qorbit.cli import run
-from qorbit.invariants import NAMES2
+from qorbit.invariants import NAMES2, NAMES3
 
 
 def invoke(*argv):
@@ -162,6 +162,16 @@ class TestCanonicalAndReconstruct:
         for name in ("alpha", "beta", "gamma", "pair_12", "pair_13", "pair_23", "triple"):
             assert np.max(np.abs(np.array(rebuilt[name]) - np.array(canonical[name]))) <= 1e-5
 
+    def test_reconstruct_traces_beyond_float_range_exit_numerical(self, state_file, tmp_path):
+        _, inv_json, _ = invoke("invariants", state_file, "--json")
+        payload = json.loads(inv_json)
+        payload["values"] = [v * 1e200 for v in payload["values"]]
+        path = tmp_path / "scaled-inv.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = invoke("reconstruct", str(path))
+        assert (code, out) == (5, "")
+        assert "numerical error: traces" in err and "over- or underflow when scaled" in err
+
     def test_reconstruct_rejects_degenerate_invariants(self, tmp_path):
         mm = q.maximally_mixed(q.SystemShape((2, 2, 2)))
         payload = q.invariants3(q.expand(mm)).payload()
@@ -191,6 +201,23 @@ class TestEquiv:
         code, out, _ = invoke("equiv", str(p1), str(p2))
         assert code == 1
         assert "distinct" in out
+
+    def test_invariant_witness_line(self, tmp_path):
+        """An isospectral pair (a global unitary apart) is told apart by an invariant."""
+        shape = q.SystemShape((2, 2, 2))
+        rho = q.random_state(shape, seed=8)
+        v, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((8, 8)))
+        p1, p2 = tmp_path / "r.json", tmp_path / "s.json"
+        q.write_state(rho, p1)
+        q.write_state(q.DensityMatrix(shape, v @ rho.matrix @ v.T), p2)
+        code, out, _ = invoke("equiv", str(p1), str(p2))
+        w = q.decide(q.read_state(p1), q.read_state(p2)).witness
+        assert code == 1
+        assert w.name in NAMES3
+        assert out.splitlines()[:2] == [
+            "verdict: distinct",
+            f"witness: {w.name} = {w.values[0]:.9g} vs {w.values[1]:.9g} (difference {w.difference:.3e})",
+        ]
 
     def test_inconclusive_exit_code(self, tmp_path, ghz):
         moved = q.apply(q.haar_local(ghz.shape, seed=12), ghz)

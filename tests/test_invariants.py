@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qorbit as q
-from qorbit.errors import ParseError, UnsupportedShape
+from qorbit.errors import NumericalError, ParseError, UnsupportedShape
 from qorbit.invariants import (
     DEGREES2,
     DEGREES3,
@@ -63,6 +63,18 @@ class TestGram:
     def test_rejects_single_qubit(self):
         with pytest.raises(UnsupportedShape):
             q.gram(q.expand(q.random_state(q.SystemShape((2,)), seed=3)))
+
+    # Finite tensors whose Gram matrices overflow: LAPACK fails to converge, or (n = 2 at
+    # 1e155, through canonicalize) returns NaN eigenvalues.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.parametrize("size", [1e155, 1e200])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("call", [q.canonicalize, q.genericity, q.gram], ids=lambda f: f.__name__)
+    def test_overflowing_gram_is_numerical_error(self, call, n, size):
+        v = q.expand(q.random_state(q.SystemShape((2,) * n), seed=0)).flatten()
+        t = q.BlochTensor.from_flat(n, v / np.abs(v).max() * size)
+        with pytest.raises(NumericalError, match="Gram"):
+            call(t)
 
 
 class TestInvariants3:
@@ -146,6 +158,11 @@ class TestInvariants2:
     def test_local_unitary_invariance(self, seed):
         t = q.expand(q.random_state(q.SystemShape((2, 2)), seed=seed))
         assert_invariant(lambda x: q.invariants2(x).values, t, seeds=range(50, 58))
+
+    def test_minimal_is_the_first_ten(self):
+        inv = q.invariants2(q.expand(q.random_state(q.SystemShape((2, 2)), seed=9)))
+        assert np.array_equal(inv.minimal(), inv.values[:MINIMAL2])
+        assert inv.minimal().tolist() == inv.payload(minimal=True)["values"]
 
 
 class TestInvariant1:

@@ -983,7 +983,12 @@ def scaled_rank_one3(seed: int, scale: float) -> BlochTensor:
 
 
 def tensor_pairs(n):
-    return st.tuples(st.one_of(tensors(n), states(n).map(q.expand)), st.one_of(tensors(n), states(n).map(q.expand)))
+    """Pairs of random tensors and expanded states; at n = 3 also scaled rank-one tensors,
+    which fail the Gram check often enough that random pairs have two failing members."""
+    members = [tensors(n), states(n).map(q.expand)]
+    if n == 3:
+        members.append(st.builds(scaled_rank_one3, st.integers(0, 10**6), st.floats(1e3, 1e4)))
+    return st.tuples(st.one_of(*members), st.one_of(*members))
 
 
 state_pairs = st.integers(2, 3).flatmap(lambda n: st.tuples(states(n), states(n)))

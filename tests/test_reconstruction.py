@@ -7,6 +7,7 @@ from qorbit.errors import (
     DegenerateSpectrum,
     InconsistentTraces,
     NegativeSquare,
+    NumericalError,
     ShapeMismatch,
     SingularSystem,
     ValidationError,
@@ -53,6 +54,14 @@ class TestSpectraFromTraces:
     def test_wrong_length_is_shape_mismatch(self):
         with pytest.raises(ShapeMismatch, match="must have 3 entries"):
             q.spectra_from_traces((6.0, 14.0))
+
+    # The traces of the spectrum (3, 2, 1) * factor. Scaling divides by the cube of the
+    # trace scale, which overflows above about 5.6e102 and underflows to 0 below about 1e-108.
+    @pytest.mark.parametrize("factor", [1e102, 1e-110, 1e-200])
+    def test_traces_beyond_float_range_are_numerical_errors(self, factor):
+        traces = tuple(sum((k * factor) ** r for k in (3.0, 2.0, 1.0)) for r in (1, 2, 3))
+        with pytest.raises(NumericalError, match="over- or underflow when scaled"):
+            q.spectra_from_traces(traces)
 
 
 class TestVectorFromQuadratics:
