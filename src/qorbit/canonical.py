@@ -17,6 +17,7 @@ back with ``generic = False``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,14 @@ _KLEIN_DIAGONALS = tuple(tuple(np.diag(k).tolist()) for k in KLEIN)
 _KLEIN_FIRST = np.repeat(_KLEIN_DIAGONALS, 4, axis=0)
 _KLEIN_SECOND = np.tile(_KLEIN_DIAGONALS, (4, 1))
 _KLEIN_STACK = np.array(KLEIN)
+# Sign pattern (-1, 0 or 1 per component) -> the first KLEIN element making its nonzero signs
+# uniform. A Klein element only flips signs, and one always aligns them: flips = s0 s1 s2 *
+# signs when no sign is zero, and a zero sign frees its flip.
+_ALIGNING = {
+    signs: next(k for k, flips in zip(KLEIN, _KLEIN_DIAGONALS)
+                if len({f * s for f, s in zip(flips, signs) if s != 0.0}) <= 1)
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=3)
+}
 
 
 @dataclass(frozen=True)
@@ -140,13 +149,7 @@ def _uniform_sign_element(vec: np.ndarray) -> np.ndarray:
     order is taken, which keeps the choice deterministic.
     """
     values = vec.tolist()
-    signs = _signs(values, KLEIN_SIGN_RTOL * (1.0 + max(map(abs, values))))
-    # A Klein element only flips signs, so k @ vec has the sign pattern flips * signs. One always
-    # aligns them: flips = s0 s1 s2 * signs when no sign is zero; a zero sign frees its flip.
-    return next(
-        k for k, flips in zip(KLEIN, _KLEIN_DIAGONALS)
-        if len({f * v for f, v in zip(flips, signs) if v != 0.0}) <= 1
-    )
+    return _ALIGNING[_signs(values, KLEIN_SIGN_RTOL * (1.0 + max(map(abs, values))))]
 
 
 def _canonical3(parts: dict, g: np.ndarray):
