@@ -25,9 +25,9 @@ the error of the first member failing it.
 
 The Bloch component layout, the Kronecker product of per-site factors and
 the SO(3) -> SU(2) lift each have a reference written independently of the
-library's tables: the layout as index patterns over sites, the product as
-an explicit loop, and the lift as one hand-written branch per quaternion
-component.
+library's tables: the layout as index patterns over sites with a literal
+Pauli table, the product as an explicit loop, and the lift as one
+hand-written branch per quaternion component.
 """
 
 import itertools
