@@ -17,15 +17,17 @@ back with ``generic = False``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .bloch import BlochTensor, _flat, _mv, _parts, _rotate, _site_vectors, _tensor, _top, bloch_payload
 from .errors import UnsupportedShape
 from .invariants import _eigen, _gram_mats, _triple_product
-from .local_action import RotationTriple, _check_rotations
+from .local_action import RotationTriple
 from .tolerances import COMPONENT_TOL, EIGENGAP_RTOL, KLEIN_SIGN_RTOL, SIGN_INVARIANT_TOL
 
 KLEIN = (
@@ -35,9 +37,6 @@ KLEIN = (
     np.diag([-1.0, -1.0, 1.0]),
 )
 _KLEIN_DIAGONALS = tuple(tuple(np.diag(k).tolist()) for k in KLEIN)
-# The diagonals of the first and second factor of each KLEIN x KLEIN pair, in product order.
-_KLEIN_FIRST = np.repeat(_KLEIN_DIAGONALS, 4, axis=0)
-_KLEIN_SECOND = np.tile(_KLEIN_DIAGONALS, (4, 1))
 _KLEIN_STACK = np.array(KLEIN)
 # Sign pattern (-1, 0 or 1 per component) -> the first KLEIN element making its nonzero signs
 # uniform. A Klein element only flips signs, and one always aligns them: flips = s0 s1 s2 *
@@ -152,6 +151,17 @@ def _uniform_sign_element(vec: np.ndarray) -> np.ndarray:
     return _ALIGNING[_signs(values, KLEIN_SIGN_RTOL * (1.0 + max(map(abs, values))))]
 
 
+@functools.lru_cache(maxsize=None)
+def _klein_pair(sa: tuple, sb: tuple, sd: tuple) -> int:
+    """4i + j of the first (KLEIN[i], KLEIN[j]) whose flips give the lexicographically smallest
+    key (sign patterns of alpha, beta and the diagonal); -0.0 and 0.0 hash and compare equal,
+    so at most 3^9 patterns are cached."""
+    def key(ij: int) -> list:
+        first, second = _KLEIN_DIAGONALS[ij // 4], _KLEIN_DIAGONALS[ij % 4]
+        return [*map(mul, first, sa), *map(mul, second, sb), *map(mul, map(mul, first, second), sd)]
+    return min(range(16), key=key)
+
+
 def _canonical3(parts: dict, g: np.ndarray):
     """The canonical gauge of a batch of three-qubit tensors with Gram stack g (3, B, 3, 3).
 
@@ -167,7 +177,6 @@ def _canonical3(parts: dict, g: np.ndarray):
     # One composed transform, so replaying the gauge reproduces the
     # canonical tensor bit for bit.
     gauge = klein.reshape(g.shape) @ to_frame
-    _check_rotations(gauge)
     canonical = _rotate(parts, gauge)
     return canonical, gauge, _reports(spectra, _site_vectors(canonical))
 
@@ -180,7 +189,8 @@ def _canonical2(parts: dict):
     diagonal is sorted by decreasing magnitude). The residual Klein x
     Klein gauge is fixed by the exhaustive lexicographic minimum of the
     key (sign pattern of alpha, of beta, of the diagonal) over all 16
-    elements, the first in element order on ties.
+    elements, the first in element order on ties, looked up per sign
+    pattern (``_klein_pair``).
     """
     u, _, vt = np.linalg.svd(_top(parts))
     # C-ordered rotations, as RotationTriple holds them, so the SVD point's
@@ -190,17 +200,11 @@ def _canonical2(parts: dict):
     svd_point = _rotate(parts, np.array((r1, r2)))
     alpha, beta = _site_vectors(svd_point).tolist()
     scales = np.abs(_flat(svd_point)).max(axis=1).tolist()
-    keys = []
-    for a, be, d, scale in zip(alpha, beta, np.diagonal(_top(svd_point), axis1=1, axis2=2).tolist(), scales):
-        tol = KLEIN_SIGN_RTOL * (1.0 + scale)
-        sa, sb, sd = (np.array(_signs(v, tol)) for v in (a, be, d))
-        keys.append(np.hstack((_KLEIN_FIRST * sa, _KLEIN_SECOND * sb, _KLEIN_FIRST * _KLEIN_SECOND * sd)))
-    # Klein elements flip signs exactly, so row 4i + j of a member's keys holds
-    # the key of (KLEIN[i], KLEIN[j]). lexsort is stable and sorts by its last
-    # key first, so its [0] is the first smallest key.
-    best = np.lexsort(np.array(keys).transpose(2, 0, 1)[::-1], axis=-1)[:, 0]
+    best = np.array([
+        _klein_pair(*(_signs(v, KLEIN_SIGN_RTOL * (1.0 + scale)) for v in (a, be, d)))
+        for a, be, d, scale in zip(alpha, beta, np.diagonal(_top(svd_point), axis1=1, axis2=2).tolist(), scales)
+    ])
     gauge = np.array((_KLEIN_STACK[best // 4] @ r1, _KLEIN_STACK[best % 4] @ r2))
-    _check_rotations(gauge)
     canonical = _rotate(parts, gauge)
     spectra, _ = _eigen(_gram_mats(_top(canonical)))
     return canonical, gauge, _reports(spectra, _site_vectors(canonical))
@@ -224,7 +228,7 @@ def _canonical(parts: dict, n: int, g: np.ndarray | None = None):
 
 def _point(t: BlochTensor) -> CanonicalPoint:
     canonical, gauge, reports = _canonical(_parts(t), t.n)
-    return CanonicalPoint(tensor=_tensor(canonical, t.n, 0), gauge=RotationTriple._checked(gauge[:, 0]),
+    return CanonicalPoint(tensor=_tensor(canonical, t.n, 0), gauge=RotationTriple(tuple(gauge[:, 0])),
                           report=reports[0])
 
 

@@ -81,17 +81,6 @@ class RotationTriple:
         return len(self.mats)
 
     @classmethod
-    def _checked(cls, stack: np.ndarray) -> "RotationTriple":
-        """Read-only copies of a (k, 3, 3) stack that ``_check_rotations`` has passed,
-        without checking it again."""
-        triple = object.__new__(cls)
-        mats = tuple(np.array(o) for o in stack)
-        for o in mats:
-            o.setflags(write=False)
-        object.__setattr__(triple, "mats", mats)
-        return triple
-
-    @classmethod
     def identity(cls, n: int) -> "RotationTriple":
         return cls(tuple(np.eye(3) for _ in range(n)))
 
