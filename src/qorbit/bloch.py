@@ -217,11 +217,7 @@ def bloch_payload(t: BlochTensor) -> dict:
 
 
 def bloch_from_payload(payload) -> BlochTensor:
-    if not isinstance(payload, dict):
-        raise ParseError("Bloch file must contain a single object")
-    n = payload.get("n")
-    if type(n) is not int or n not in (1, 2, 3):
-        raise ParseError("field 'n' must be 1, 2, or 3")
+    n = fileio.qubit_count(payload, "Bloch")
     parts = {}
     for name in _SITES[n]:
         if name not in payload:

@@ -90,6 +90,16 @@ def read(path):
         return loads(fh.read())
 
 
+def qubit_count(payload, kind: str) -> int:
+    """The 'n' field, 1, 2 or 3, of a file payload that must be one object; kind names the file."""
+    if not isinstance(payload, dict):
+        raise ParseError(f"{kind} file must contain a single object")
+    n = payload.get("n")
+    if type(n) is not int or n not in (1, 2, 3):
+        raise ParseError("field 'n' must be 1, 2, or 3")
+    return n
+
+
 def complex_to_pairs(matrix: np.ndarray) -> list:
     """Encode a complex matrix as nested [re, im] pairs."""
     m = np.asarray(matrix, dtype=complex)

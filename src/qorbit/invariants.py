@@ -75,10 +75,12 @@ class GramTriple:
     frames: tuple[np.ndarray, ...]
 
 
+@np.errstate(over="ignore")
 def _gram_mats(top: np.ndarray) -> np.ndarray:
     """Per-site Gram matrices of a batch of top-rank tensors, site-major (n, B, 3, 3).
 
-    Two of a (B, 3, 3) pair matrix, three of a (B, 3, 3, 3) triple tensor.
+    Two of a (B, 3, 3) pair matrix, three of a (B, 3, 3, 3) triple tensor. Entries that
+    overflow are inf, with no warning, for ``_eigen`` to refuse.
     """
     if top.ndim == 3:
         return np.array((top @ top.swapaxes(1, 2), top.swapaxes(1, 2) @ top))
@@ -239,20 +241,29 @@ def _fingerprint(parts: dict, g: np.ndarray, n: int):
     return (InvariantSet2, _values2(parts, g)) if n == 2 else (InvariantSet3, _values3(parts, g))
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _invariant_set(t: BlochTensor):
+    """One tensor's family; NumericalError names the first member that leaves float range."""
+    parts = _parts(t)
+    family, (values,) = _fingerprint(parts, _gram_mats(_top(parts)), t.n)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericalError(f"invariant {family.NAMES[bad[0]]} overflows float range")
+    return family(values)
+
+
 def invariants3(t: BlochTensor) -> InvariantSet3:
     """Evaluate all 75 three-qubit invariants in the canonical order."""
     if t.n != 3:
         raise UnsupportedShape(f"invariants3 needs n=3, got n={t.n}")
-    parts = _parts(t)
-    return InvariantSet3(_values3(parts, _gram_mats(_top(parts)))[0])
+    return _invariant_set(t)
 
 
 def invariants2(t: BlochTensor) -> InvariantSet2:
     """Evaluate the two-qubit invariants in the canonical order."""
     if t.n != 2:
         raise UnsupportedShape(f"invariants2 needs n=2, got n={t.n}")
-    parts = _parts(t)
-    return InvariantSet2(_values2(parts, _gram_mats(_top(parts)))[0])
+    return _invariant_set(t)
 
 
 def fingerprint(t: BlochTensor) -> InvariantSet2 | InvariantSet3:
@@ -325,11 +336,7 @@ def first_disagreement(
 
 def invariant_payload_to_values(payload) -> tuple[int, np.ndarray]:
     """Parse an invariant file payload, checking the canonical name list."""
-    if not isinstance(payload, dict):
-        raise ParseError("invariant file must contain a single object")
-    n = payload.get("n")
-    if type(n) is not int or n not in (1, 2, 3):
-        raise ParseError("field 'n' must be 1, 2, or 3")
+    n = fileio.qubit_count(payload, "invariant")
     names = payload.get("names")
     values = payload.get("values")
     if not isinstance(names, list) or not isinstance(values, list):

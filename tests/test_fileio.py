@@ -139,3 +139,27 @@ class TestHugeIntegers:
     def test_large_literals_in_range_still_parse(self):
         assert fileio.loads("[" + "9" * 300 + "]") == [int("9" * 300)]
         assert fileio.real_array([10**300], (1,), "values")[0] == 1e300
+
+
+class TestQubitCount:
+    """The 'n' field of Bloch and invariant files, parsed in one place with each file's messages."""
+
+    @pytest.mark.parametrize(("read", "kind"), [(q.bloch.bloch_from_payload, "Bloch"),
+                                                (q.invariants.invariant_payload_to_values, "invariant")])
+    @pytest.mark.parametrize("payload", [[], [{"n": 2}], "n", None])
+    def test_non_object_refused_with_file_kind(self, read, kind, payload):
+        with pytest.raises(ParseError) as info:
+            read(payload)
+        assert str(info.value) == f"{kind} file must contain a single object"
+
+    @pytest.mark.parametrize("read", [q.bloch.bloch_from_payload, q.invariants.invariant_payload_to_values])
+    @pytest.mark.parametrize("n", [None, 0, 4, -1, True, False, 2.0, "2", [2]])
+    def test_bad_n_refused(self, read, n):
+        payload = {"names": [], "values": []} if n is None else {"n": n, "names": [], "values": []}
+        with pytest.raises(ParseError) as info:
+            read(payload)
+        assert str(info.value) == "field 'n' must be 1, 2, or 3"
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_accepts_one_to_three(self, n):
+        assert fileio.qubit_count({"n": n}, "Bloch") == n

@@ -66,7 +66,6 @@ class TestGram:
 
     # Finite tensors whose Gram matrices overflow: LAPACK fails to converge, or (n = 2 at
     # 1e155, through canonicalize) returns NaN eigenvalues.
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize("size", [1e155, 1e200])
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("call", [q.canonicalize, q.genericity, q.gram], ids=lambda f: f.__name__)
@@ -75,6 +74,16 @@ class TestGram:
         t = q.BlochTensor.from_flat(n, v / np.abs(v).max() * size)
         with pytest.raises(NumericalError, match="Gram"):
             call(t)
+
+
+# Valid finite tensors whose highest-degree members leave float range: the Gram matrices are
+# finite, so only the invariant values overflow.
+@pytest.mark.parametrize(("n", "scale"), [(3, 1e30), (3, 1e100), (2, 1e60), (2, 1e155)])
+def test_overflowing_invariants_are_numerical_errors(n, scale):
+    t = q.expand(q.random_state(q.SystemShape((2,) * n), seed=5))
+    scaled = q.BlochTensor.from_flat(n, t.flatten() * scale)
+    with pytest.raises(NumericalError, match="overflows float range"):
+        q.invariants.fingerprint(scaled)
 
 
 class TestInvariants3:

@@ -41,7 +41,8 @@ import qorbit as q
 from qorbit import bloch, invariants, orbit_dim, reconstruction
 from qorbit.bloch import BlochTensor, _expand, _flat, _rotate, _split
 from qorbit.canonical import (
-    KLEIN, KLEIN_SIGN_RTOL, CanonicalPoint, _canonical, _reports, _uniform_sign_element, genericity,
+    KLEIN, KLEIN_SIGN_RTOL, CanonicalPoint, _canonical, _klein_pair, _reports, _uniform_sign_element,
+    genericity,
 )
 from qorbit.errors import ConstraintViolation, NotSpecialOrthogonal, NumericalError, ShapeMismatch, ToolkitError
 from qorbit.invariants import GRAM_PSD_TOL, _eigen, _fingerprint, _gram_mats, _power_vectors, _triple_product
@@ -790,6 +791,37 @@ class TestCanonicalKernels:
         got, want = outcome(q.canonicalize2, t), outcome(canonicalize2_ref, t)
         assert isinstance(want, CanonicalPoint)
         assert same_point(got, want)
+
+    def test_klein_pair_on_every_sign_pattern(self):
+        """The cached lookup picks the element the lexsort of canonicalize2_head picks, on all
+        3^9 sign patterns of (alpha, beta, diagonal), ties and zeros included; a -0.0 pattern
+        reads the entry of its 0.0 twin."""
+        for pattern in itertools.product((-1.0, 0.0, 1.0), repeat=9):
+            sa, sb, sd = (np.array(pattern[k:k + 3]) for k in (0, 3, 6))
+            keys = np.hstack((KLEIN_FIRST_HEAD * sa, KLEIN_SECOND_HEAD * sb,
+                              KLEIN_FIRST_HEAD * KLEIN_SECOND_HEAD * sd))
+            best = _klein_pair(pattern[:3], pattern[3:6], pattern[6:])
+            assert best == int(np.lexsort(keys.T[::-1])[0]), pattern
+            negated = tuple(-0.0 if v == 0.0 else v for v in pattern)
+            assert _klein_pair(negated[:3], negated[3:6], negated[6:]) == best, pattern
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(states(2).map(q.expand), states(3).map(q.expand), tensors(2), tensors(3)),
+           st.one_of(st.none(), st.floats(0.0, 154.0)))
+    def test_canonical_gauges_are_rotations(self, t, exponent):
+        """Every gauge of the batched construction passes the SO(3) check it does not make,
+        also with the tensor rescaled to a largest entry of 10^exponent, up to where _eigen
+        refuses the overflowing Gram matrices."""
+        scale = t.max_abs()
+        if exponent is not None and scale > 0.0:
+            t = BlochTensor.from_flat(t.n, t.flatten() / scale * 10.0**exponent)
+        try:
+            # The reports' degree-9 sign invariants overflow long before the Gram matrices do.
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, gauge, _ = _canonical(bloch._parts(t), t.n)
+        except NumericalError:
+            return
+        _check_rotations(gauge)
 
     def test_trace_keeps_np_sum_signed_zero(self):
         spectra = np.full((2, 1, 3), -0.0)
