@@ -246,9 +246,9 @@ def _invariant_set(t: BlochTensor):
     """One tensor's family; NumericalError names the first member that leaves float range."""
     parts = _parts(t)
     family, (values,) = _fingerprint(parts, _gram_mats(_top(parts)), t.n)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise NumericalError(f"invariant {family.NAMES[bad[0]]} overflows float range")
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NumericalError(f"invariant {family.NAMES[finite.argmin()]} overflows float range")
     return family(values)
 
 
