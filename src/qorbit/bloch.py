@@ -83,7 +83,7 @@ class BlochTensor:
 
     @classmethod
     def from_flat(cls, n: int, vec) -> "BlochTensor":
-        vec = np.asarray(vec, dtype=float)
+        vec = np.array(vec, dtype=float)  # a copy: the tensor holds views of it
         size = sum(3 ** len(sites) for _, sites in _components(n))
         if vec.shape != (size,):
             raise ShapeMismatch(f"flat vector for n={n} must have length {size}")
@@ -114,8 +114,18 @@ def _flat(parts: dict) -> np.ndarray:
 
 
 def _tensor(parts: dict, n: int, b: int) -> BlochTensor:
-    """Member ``b`` of a batch of components as a tensor."""
-    return BlochTensor(n=n, **{name: arr[b] for name, arr in parts.items()})
+    """Member ``b`` of a batch of components, built by the kernels in the constructor's layout, as a
+    tensor holding read-only views of them. Only their finiteness is checked, once; a non-finite
+    member goes through the constructor, whose error names the component."""
+    members = {name: arr[b] for name, arr in parts.items()}
+    if not np.isfinite(np.concatenate(tuple(members.values()), axis=None)).all():
+        return BlochTensor(n=n, **members)
+    t = object.__new__(BlochTensor)
+    object.__setattr__(t, "n", n)
+    for name, arr in members.items():
+        arr.setflags(write=False)
+        object.__setattr__(t, name, arr)
+    return t
 
 
 def _site_vectors(parts: dict) -> np.ndarray:

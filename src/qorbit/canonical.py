@@ -132,8 +132,13 @@ def genericity(t: BlochTensor) -> GenericityReport:
     if t.n not in (2, 3):
         raise UnsupportedShape(f"genericity is defined for n=2 or 3, got n={t.n}")
     parts = _parts(t)
-    spectra, frames = _eigen(_gram_mats(_top(parts)))
-    return _reports(spectra, _mv(frames.swapaxes(-1, -2), _site_vectors(parts)))[0]
+    return _genericity(parts, _gram_mats(_top(parts)))[0]
+
+
+def _genericity(parts: dict, g: np.ndarray) -> tuple[GenericityReport, ...]:
+    """The reports of a batch whose Gram stack g is known (see ``genericity``)."""
+    spectra, frames = _eigen(g)
+    return _reports(spectra, _mv(frames.swapaxes(-1, -2), _site_vectors(parts)))
 
 
 def _signs(vec, tol: float) -> tuple[float, ...]:

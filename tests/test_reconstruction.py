@@ -239,12 +239,12 @@ class TestReconstructCanonical:
         point = q.canonicalize3(t)
         assert np.max(np.abs(rebuilt.tensor.flatten() - point.tensor.flatten())) <= 1e-5
 
-    def test_one_vandermonde_matrix_per_site(self, monkeypatch):
-        # The vector, the determinant check and the inverse factor of a site share one matrix.
+    def test_one_vandermonde_stack(self, monkeypatch):
+        # The vectors, the determinant checks and the inverse factors share one stack of the three sites' matrices.
         _, point, inv = canonical_and_invariants(22)
         built = []
         vander_scaled = reconstruction._vander_scaled
         monkeypatch.setattr(reconstruction, "_vander_scaled", lambda sp: built.append(sp) or vander_scaled(sp))
         rebuilt = reconstruct_canonical(inv)
-        assert len(built) == 3
+        assert [sp.shape for sp in built] == [(3, 3)]
         assert np.max(np.abs(rebuilt.tensor.flatten() - point.tensor.flatten())) <= 1e-5
