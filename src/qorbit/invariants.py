@@ -18,6 +18,7 @@ fingerprints compare across runs. The two-qubit family is the minimal ten
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,11 +328,19 @@ def first_disagreement(
     absolute floor, because the families mix polynomial degrees 2 to 16
     and a flat relative test would over- or under-weigh the extremes.
     """
-    diffs = np.abs(np.asarray(values_a) - np.asarray(values_b))
-    for i, (diff, k) in enumerate(zip(diffs.tolist(), degrees)):
-        if diff > max(COMPARE_ABS_FLOOR, rtol * scale**k):
-            return i
-    return None
+    distinct, index = _degree_index(tuple(degrees))
+    diffs = np.abs(np.asarray(values_a) - np.asarray(values_b))[:len(index)]
+    # One tolerance per distinct degree, with Python's ** (numpy's power may round differently).
+    tols = np.array([max(COMPARE_ABS_FLOOR, rtol * scale**k) for k in distinct])
+    hits = np.flatnonzero(diffs > tols[index[:len(diffs)]])
+    return int(hits[0]) if hits.size else None
+
+
+@functools.lru_cache(maxsize=8)
+def _degree_index(degrees: tuple) -> tuple[tuple, np.ndarray]:
+    """The distinct degrees of a family, and the position of each member's degree among them."""
+    distinct = tuple(sorted(set(degrees)))
+    return distinct, np.array([distinct.index(k) for k in degrees], dtype=int)
 
 
 def invariant_payload_to_values(payload) -> tuple[int, np.ndarray]:

@@ -44,7 +44,9 @@ from qorbit.canonical import (
     KLEIN, KLEIN_SIGN_RTOL, CanonicalPoint, _canonical, _klein_pair, _reports, _uniform_sign_element,
     genericity,
 )
-from qorbit.errors import ConstraintViolation, NotSpecialOrthogonal, NumericalError, ShapeMismatch, ToolkitError
+from qorbit.errors import (
+    ConstraintViolation, NotSpecialOrthogonal, NumericalError, ShapeMismatch, ToolkitError, ValidationError,
+)
 from qorbit.invariants import GRAM_PSD_TOL, _eigen, _fingerprint, _gram_mats, _power_vectors, _triple_product
 from qorbit.local_action import (
     LIFT_BRANCH_TOL, SPECIAL_TOL, UNITARITY_TOL, RotationTriple, _check_rotations, transform_bloch,
@@ -688,6 +690,32 @@ def two_qubit_cases() -> dict:
 TWO_QUBIT_CASES = two_qubit_cases()
 
 
+SITE_BREAKS = ("traces", "quadratics", "spectrum")
+
+
+def broken_sites(seed: int, sites, kinds, size: float, exponent: int) -> q.InvariantSet3:
+    """The invariants of a random 3-qubit state with ``sites[i]`` broken by ``kinds[i]``.
+
+    "traces" raises tr X^2 above (tr X)^2, which no PSD spectrum allows
+    (InconsistentTraces); "quadratics" scales each quadratic by 1 + size * u,
+    u uniform in [-1, 1] (NegativeSquare or ConstraintViolation);
+    "spectrum" gives the traces of the site's Gram spectrum with its top two
+    eigenvalues 10^exponent apart, relatively (DegenerateSpectrum).
+    """
+    t = q.expand(q.random_state(q.SystemShape((2, 2, 2)), seed=seed))
+    values, rng = q.invariants3(t).values.copy(), np.random.default_rng(seed)
+    for site, kind in zip(sites, kinds):
+        if kind == "traces":
+            values[3 * site + 1] = values[3 * site] ** 2 * (1.0 + size)
+        elif kind == "quadratics":
+            values[9 + 3 * site:12 + 3 * site] *= 1.0 + size * rng.uniform(-1.0, 1.0, 3)
+        else:
+            lam = q.gram(t).spectra[site].copy()
+            lam[1] = lam[0] * (1.0 - 10.0**exponent)
+            values[3 * site:3 * site + 3] = [np.sum(lam**r) for r in (1, 2, 3)]
+    return q.InvariantSet3(values)
+
+
 # ---------------------------------------------------------------- tests
 
 
@@ -738,18 +766,21 @@ class TestInvariantKernels:
             assert same_bits(got, want)
 
     @settings(max_examples=200, deadline=None)
-    @given(arrays((75,)), arrays((75,)), st.sampled_from([1e-30, 1e-3, 1.0, 7.5]))
-    def test_first_disagreement(self, a, b, scale):
+    @given(arrays((75,)), arrays((75,)), st.sampled_from([1e-30, 1e-3, 1.0, 7.5]),
+           st.sampled_from([invariants.COMPARE_RTOL, 0.0, 1e-3, 1e-12]), st.booleans())
+    def test_first_disagreement(self, a, b, scale, rtol, two_qubits):
         b = np.where(np.arange(75) % 3 == 0, a, b)  # plenty of exact agreements
+        degrees = invariants.DEGREES2 if two_qubits else invariants.DEGREES3
+        a, b = a[:len(degrees)], b[:len(degrees)]
 
         def ref():
             diffs = np.abs(a - b)
-            for i, (diff, k) in enumerate(zip(diffs, invariants.DEGREES3)):
-                if diff > max(invariants.COMPARE_ABS_FLOOR, invariants.COMPARE_RTOL * scale**k):
+            for i, (diff, k) in enumerate(zip(diffs, degrees)):
+                if diff > max(invariants.COMPARE_ABS_FLOOR, rtol * scale**k):
                     return i
             return None
 
-        assert invariants.first_disagreement(a, b, invariants.DEGREES3, scale) == ref()
+        assert invariants.first_disagreement(a, b, degrees, scale, rtol) == ref()
 
 
 class TestCanonicalKernels:
@@ -860,6 +891,39 @@ class TestBlochKernels:
     def test_max_abs(self, t):
         assert same_bits(t.max_abs(), max_abs_ref(t))
         assert same_bits(invariants.coefficient_scale(t.flatten()), max(1e-30, max_abs_ref(t)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(states(2), states(3)))
+    def test_kernel_built_tensors_are_the_checked_ones(self, rho):
+        """expand, canonicalize and reconstruct_canonical build their tensors without the constructor's checks."""
+        t = q.expand(rho)
+        built = [t, q.canonicalize(t).tensor]
+        if t.n == 3:
+            rebuilt = outcome(q.reconstruct_canonical, q.invariants3(t))
+            built += [rebuilt.tensor] if isinstance(rebuilt, CanonicalPoint) else []
+        for tensor in built:
+            checked = BlochTensor(n=tensor.n, **dict(tensor.component_items()))
+            assert same_bits(tensor.flatten(), checked.flatten())
+            for (name, got), (_, want) in zip(tensor.component_items(), checked.component_items()):
+                assert same_bits(got, want), name
+                assert not got.flags.writeable, name
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_kernel_built_tensor_with_a_non_finite_component(self, n, bad):
+        names = [name for name, _ in bloch._components(n)]
+        for name in names:
+            parts = bloch._split(np.zeros((2, sum(3 ** len(s) for _, s in bloch._components(n)))), n)
+            parts[name][1].flat[-1] = bad
+            with pytest.raises(ValidationError, match=f"component '{name}' has a non-finite entry"):
+                bloch._tensor(parts, n, 1)
+            assert same_bits(bloch._tensor(parts, n, 0).flatten(), np.zeros(len(_flat(parts)[0])))
+
+    def test_from_flat_holds_no_view_of_its_input(self):
+        vec = np.zeros(63)
+        t = BlochTensor.from_flat(3, vec)
+        vec[:] = 1.0
+        assert not t.flatten().any()
 
 
 def pi_turn(axis) -> np.ndarray:
@@ -1237,6 +1301,16 @@ class TestReconstruction:
         got, want = outcome(q.reconstruct_canonical, bad), outcome(reconstruct_canonical_ref, bad)
         assert want[0] is ConstraintViolation and "not diagonal" in want[1]
         assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**6), st.permutations(range(3)), st.permutations(SITE_BREAKS), st.integers(2, 3),
+           st.floats(1e-4, 1.0), st.integers(-16, -10))
+    # A later site's degenerate spectrum must not come before an earlier site's bad quadratics.
+    @example(5, [0, 2, 1], ["quadratics", "spectrum", "traces"], 2, 0.5, -14)
+    def test_refusal_order_across_sites(self, seed, sites, kinds, broken, size, exponent):
+        """Sites broken in different checks: the stacked pass raises what site-by-site calls raise first."""
+        inv = broken_sites(seed, sites[:broken], kinds[:broken], size, exponent)
+        assert same_point(outcome(q.reconstruct_canonical, inv), outcome(reconstruct_canonical_ref, inv))
 
     def test_singular_site_factor(self, monkeypatch):
         """A factor determinant just below the tolerance its sign invariant clears.

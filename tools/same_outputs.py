@@ -5,6 +5,9 @@ byte of the library and CLI paths below:
 
     python tools/same_outputs.py
 
+Name digests to compute only those, in the order given, e.g.
+``python tools/same_outputs.py cli library``.
+
 Compare runs on one host with one BLAS thread count: LAPACK's bytes, and
 so the ``orbit`` and ``states`` digests, can differ between them.
 
@@ -183,12 +186,16 @@ def states_digest() -> str:
     return digest.hexdigest()
 
 
-def main() -> None:
-    print(f"library {library_digest()}")
-    print(f"cli     {cli_digest()}")
-    print(f"orbit   {orbit_digest()}")
-    print(f"states  {states_digest()}")
+DIGESTS = {"library": library_digest, "cli": cli_digest, "orbit": orbit_digest, "states": states_digest}
+
+
+def main(names: list[str]) -> None:
+    unknown = [name for name in names if name not in DIGESTS]
+    if unknown:
+        sys.exit(f"unknown digest {', '.join(unknown)}; choose from {', '.join(DIGESTS)}")
+    for name in names or DIGESTS:
+        print(f"{name:<7} {DIGESTS[name]()}", flush=True)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
