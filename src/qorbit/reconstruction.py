@@ -115,19 +115,15 @@ def _vectors(quads: np.ndarray, signs: list, spectra: np.ndarray, scaled) -> np.
     """The canonical site vectors (k, 3) from stacked quadratics, sign invariants and spectra, given
     the sites' ``_vander_scaled`` pair (see ``vector_from_quadratics``). Each site's checks all run
     before the next site's."""
-    (lam, s), k, dets = scaled, len(quads), _det_vander(spectra).tolist()
+    (lam, s), dets = scaled, _det_vander(spectra).tolist()
     gaps = [_gap_and_trace(*spectrum) for spectrum in spectra.tolist()]
     posed = [gap > EIGENGAP_RTOL * max(trace, 1e-300) and abs(sign) > SIGN_INVARIANT_TOL
              for (gap, trace), sign in zip(gaps, signs)]
     with np.errstate(all="ignore"):
-        try:  # a site refused before its solve solves the identity instead
-            squares = np.linalg.solve(np.where(np.array(posed)[:, None, None], lam, np.eye(3)),
-                                      (quads / s[:, None] ** _POWERS)[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            if k == 1:  # else one site at a time, so the earlier sites' refusals come first
-                raise
-            return np.concatenate([_vectors(quads[i:i + 1], signs[i:i + 1], spectra[i:i + 1],
-                                            (lam[i:i + 1], s[i:i + 1])) for i in range(k)])
+        # A site refused before its solve solves the identity instead; a posed site's nodes differ by
+        # more than EIGENGAP_RTOL of their sum, so no matrix in the stack is singular.
+        squares = np.linalg.solve(np.where(np.array(posed)[:, None, None], lam, np.eye(3)),
+                                  (quads / s[:, None] ** _POWERS)[..., None])[..., 0]
         vectors = (np.copysign(1.0, signs) * np.copysign(1.0, dets))[:, None] * np.sqrt(np.clip(squares, 0.0, None))
         floors = np.maximum(np.abs(squares).max(axis=1), 1e-300).tolist()
     for (gap, trace), sign, det, low, floor, i, vec in zip(
@@ -171,28 +167,20 @@ def vector_from_quadratics(quads, sign_invariant: float, spectrum) -> np.ndarray
 
 def _inverse_factors(scaled, vectors: np.ndarray, products: list) -> np.ndarray:
     """(Vandermonde * diag(vector))^{-1} of each site (k, 3, 3), kept well scaled, from the sites'
-    ``_vander_scaled`` pair and factor determinants; a site is refused before the next is inverted."""
-    (lam, s), k = scaled, len(vectors)
-    diag = np.zeros(lam.shape)
-    diag[:, _POWERS, _POWERS] = vectors
-    posed = np.abs(products) > SIGN_INVARIANT_TOL
-    try:  # a refused site inverts the identity instead
-        inverse = np.linalg.inv(np.where(posed[:, None, None], lam @ diag, np.eye(3)))
-    except np.linalg.LinAlgError:
-        if k == 1:  # else one site at a time, as in ``_vectors``
-            raise
-        return np.concatenate([_inverse_factors((lam[i:i + 1], s[i:i + 1]), vectors[i:i + 1], products[i:i + 1])
-                               for i in range(k)])
+    ``_vander_scaled`` pair and factor determinants; the first site too near singular raises."""
     for dp in products:
         if abs(dp) <= SIGN_INVARIANT_TOL:
             raise SingularSystem(f"site factor determinant {dp:.3e} below {SIGN_INVARIANT_TOL:.0e}")
-    return inverse / (s[:, None] ** _POWERS)[:, None, :]
+    lam, s = scaled
+    diag = np.zeros(lam.shape)
+    diag[:, _POWERS, _POWERS] = vectors
+    return np.linalg.inv(lam @ diag) / (s[:, None] ** _POWERS)[:, None, :]
 
 
 def _inverse_factor(spectrum, vector) -> np.ndarray:
     """(Vandermonde * diag(vector))^{-1} for one site, a batch of one of ``_inverse_factors``."""
     system = VandermondeSystem(spectra=_three("spectrum", spectrum)[None], vectors=_three("vector", vector)[None])
-    return _inverse_factors(_vander_scaled(system.spectra), system.vectors, system.det_products())[0]
+    return _inverse_factors(_vander_scaled(system.spectra), system.vectors, system._det_products())[0]
 
 
 def _check_diagonal(g: np.ndarray) -> None:
@@ -238,9 +226,9 @@ class VandermondeSystem:
         return float(_det_vander(self.spectra[site]))
 
     def det_product(self, site: int) -> float:
-        return self.det_products()[site]
+        return self._det_products()[site]
 
-    def det_products(self) -> list[float]:
+    def _det_products(self) -> list[float]:
         """det(Vandermonde * diag(vector)) of each site."""
         return (_det_vander(self.spectra) * np.prod(self.vectors, axis=-1)).tolist()
 
@@ -259,7 +247,7 @@ class VandermondeSystem:
 
     def verify_signs(self, sign_invariants) -> None:
         """det(Vandermonde * diag) must reproduce each sign invariant."""
-        for site, dp in enumerate(self.det_products()):
+        for site, dp in enumerate(self._det_products()):
             target = float(sign_invariants[site])
             if abs(dp - target) > DET_PRODUCT_RTOL * max(abs(target), 1e-300):
                 raise ConstraintViolation(f"site {site + 1} factor determinant {dp:.6e} does not match "
@@ -287,7 +275,7 @@ def reconstruct_canonical(inv: InvariantSet3) -> CanonicalPoint:
     system = VandermondeSystem(spectra=spectra, vectors=vectors)
     system._verify_determinants(scaled)
     system.verify_signs(signs)
-    factors = _inverse_factors(scaled, vectors, system.det_products())[:, None]
+    factors = _inverse_factors(scaled, vectors, system._det_products())[:, None]
     # The canonical vectors, then the 54 pair and triple members in flatten() order:
     # one contraction with the inverse factors turns those mixed blocks canonical.
     parts = _split(np.concatenate((vectors.ravel(), values[21:]))[None], 3)
