@@ -340,7 +340,9 @@ def first_disagreement(
 def _degree_index(degrees: tuple) -> tuple[tuple, np.ndarray]:
     """The distinct degrees of a family, and the position of each member's degree among them."""
     distinct = tuple(sorted(set(degrees)))
-    return distinct, np.array([distinct.index(k) for k in degrees], dtype=int)
+    index = np.array([distinct.index(k) for k in degrees], dtype=int)
+    index.setflags(write=False)  # cached: every caller shares it
+    return distinct, index
 
 
 def invariant_payload_to_values(payload) -> tuple[int, np.ndarray]:
