@@ -19,6 +19,7 @@ fingerprints compare across runs. The two-qubit family is the minimal ten
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,11 +328,19 @@ def first_disagreement(
     A degree-k invariant is compared against rtol * scale^k with an
     absolute floor, because the families mix polynomial degrees 2 to 16
     and a flat relative test would over- or under-weigh the extremes.
+    ``scale`` must be finite and positive (``ValidationError``); one whose
+    degree-k power overflows raises ``NumericalError``.
     """
+    scale = float(scale)
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValidationError(f"coefficient scale must be finite and positive, got {scale!r}")
     distinct, index = _degree_index(tuple(degrees))
     diffs = np.abs(np.asarray(values_a) - np.asarray(values_b))[:len(index)]
     # One tolerance per distinct degree, with Python's ** (numpy's power may round differently).
-    tols = np.array([max(COMPARE_ABS_FLOOR, rtol * scale**k) for k in distinct])
+    try:
+        tols = np.array([max(COMPARE_ABS_FLOOR, rtol * scale**k) for k in distinct])
+    except OverflowError:
+        raise NumericalError(f"coefficient scale {scale!r} overflows at degree {distinct[-1]}") from None
     hits = np.flatnonzero(diffs > tols[index[:len(diffs)]])
     return int(hits[0]) if hits.size else None
 

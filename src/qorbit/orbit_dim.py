@@ -29,20 +29,22 @@ about 1e-12 of the largest, far below ``RANK_RTOL``.
 
 ``orbit_dimension`` never materializes the frame. It computes the
 commutators over blocks of whole rows of rho, at most ``_STREAM_ENTRIES``
-entries each, folds each block into a k x block buffer for the k frame
-rows, and feeds the running factor the same ``_QR_BLOCK``-column pieces as
-a pass over the whole frame would, carrying a piece that spans two blocks.
-Its memory is O(k 2^16 + D^2) rather than the frame's 2 k D^2, and its
-singular values are bit for bit those of ranking the materialized frame.
-A block's row count is a product of trailing site dimensions, so for
-every site the block either holds whole groups of the site's row index or
-lies inside one of them, where h.rho reads only the site's d slabs of rho.
+entries each, and folds each generator's block straight into its column of
+a column-major buffer that feeds the running QR factor the same
+``_QR_BLOCK``-column pieces as a pass over the whole frame, so its singular
+values are bit for bit the materialized frame's. Beside rho it holds
+(k + 2^12 + 2^14) k floats, not the frame's 2 k D^2. At 2^14 entries a
+generator's working set (two complex commutator blocks, a real scratch, a
+folded column) is 0.8 MB and fits a 2 MiB L2 cache; at 2^16 it is 3 MB.
+Each thread keeps its buffer (up to ``_KEEP_BYTES``): fresh buffers of a few
+MB went back to the system and were faulted in again on every call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -59,7 +61,9 @@ _MAX_FRAME_BYTES = 2**30
 # Frame columns folded into the running triangular factor per QR call.
 _QR_BLOCK = 4096
 # Most entries of rho whose commutators orbit_dimension computes at once.
-_STREAM_ENTRIES = 2**16
+_STREAM_ENTRIES = 2**14
+_KEEP_BYTES = 2**26  # the largest QR buffer a thread keeps in _workspace
+_workspace = threading.local()
 
 
 @dataclass(frozen=True)
@@ -185,40 +189,36 @@ def orbit_dimension(rho: DensityMatrix, tol: float = RANK_RTOL) -> OrbitDimensio
     if not (math.isfinite(tol) and 0.0 <= tol < 1.0):
         raise ValidationError(f"rank tolerance must be finite and in [0, 1), got {tol!r}")
     _check_frame_size(rho.shape)
-    dims = rho.shape.dims
-    d_total = rho.shape.total_dim
-    k = sum(d * d - 1 for d in dims)
-    n_rows = _stream_rows(dims)
+    dims, d_total = rho.shape.dims, rho.shape.total_dim
+    k, n_rows = sum(d * d - 1 for d in dims), _stream_rows(dims)
     width = n_rows * d_total
-    folded = np.empty((k, n_rows, d_total))
+    # Rows: the factor r at [k - len(r), k) for each QR, [k, k + filled) the piece so far, then the block.
+    size = (k + _QR_BLOCK + width) * k
+    flat = getattr(_workspace, "flat", None)
+    if flat is None or flat.size < size:
+        flat = np.empty(size)
+        if flat.nbytes <= _KEEP_BYTES:
+            _workspace.flat = flat
+    buf = flat[:size].reshape((-1, k), order="F")
     imag = np.empty((n_rows, d_total))
-    # Rows [0, rows) hold the running triangular factor and rows [rows,
-    # rows + filled) the part of the current piece streamed so far. Pieces
-    # are the folded columns [j, j + _QR_BLOCK) for j a multiple of
-    # _QR_BLOCK, whatever the stream blocks are. Column-major, so each
-    # folded row lands in one contiguous column and LAPACK reads the buffer
-    # in its own order.
-    buf = np.empty((k + _QR_BLOCK, k), order="F")
-    columns = folded.reshape(k, width)
-    rows = filled = 0
+    r, filled = buf[:0], 0
     for start in range(0, d_total, n_rows):
+        end = k + filled + width
         for g, (hm, mh) in enumerate(_commutators(rho.matrix, dims, start, start + n_rows)):
             # The real plus the imaginary half of the frame row, as tangent_frame writes them.
-            np.subtract(mh.imag, hm.imag, out=folded[g])
+            column = buf[end - width:end, g].reshape(n_rows, d_total)
+            np.subtract(mh.imag, hm.imag, out=column)
             np.subtract(hm.real, mh.real, out=imag)
-            folded[g] += imag
-        last = start + n_rows == d_total
-        pos = 0
-        while pos < width:
-            take = min(_QR_BLOCK - filled, width - pos)
-            buf[rows + filled:rows + filled + take] = columns[:, pos:pos + take].T
-            filled += take
-            pos += take
-            if filled == _QR_BLOCK or (last and pos == width):
-                r = np.linalg.qr(buf[:rows + filled], mode="r")
-                rows, filled = r.shape[0], 0
-                buf[:rows] = r
-    s = np.linalg.svd(buf[:rows], compute_uv=False)
+            column += imag
+        piece = k
+        while end - piece >= _QR_BLOCK or (start + n_rows == d_total and end > piece):
+            buf[piece - len(r):piece] = r
+            r = np.linalg.qr(buf[piece - len(r):min(piece + _QR_BLOCK, end)], mode="r")
+            piece = min(piece + _QR_BLOCK, end)
+        filled = end - piece
+        if piece > k:  # carry the partial piece up; it lies below rows k + _QR_BLOCK
+            buf[k:k + filled] = buf[piece:end]
+    s = np.linalg.svd(r, compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
     dim = 0 if smax == 0.0 else int(np.sum(s > tol * smax))
     return OrbitDimension(dimension=dim, singular_values=s)

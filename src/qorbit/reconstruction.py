@@ -157,11 +157,15 @@ def vector_from_quadratics(quads, sign_invariant: float, spectrum) -> np.ndarray
     determinant). The square root halves the accuracy of the smallest
     component, so that one is re-derived from the degree-9 identity, whose
     inputs are known to near machine precision; afterwards the identity is
-    re-verified on the result.
+    re-verified on the result. A spectrum whose sum is not positive is
+    refused (``ValidationError``) before the nodes are scaled by that sum.
     """
-    spectrum, quads = _three("spectrum", spectrum)[None], _three("quadratics", quads)[None]
+    spectrum, quads =_three("spectrum", spectrum)[None], _three("quadratics", quads)[None]
     if not math.isfinite(sign_invariant):
         raise ValidationError(f"sign invariant {sign_invariant!r} is not finite")
+    total = float(spectrum.sum())
+    if not total > 0.0:
+        raise ValidationError(f"spectrum sum {total:.6g} is not positive", margin=total)
     return _vectors(quads, [float(sign_invariant)], spectrum, _vander_scaled(spectrum))[0]
 
 

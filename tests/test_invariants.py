@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import qorbit as q
-from qorbit.errors import NumericalError, ParseError, UnsupportedShape
+from qorbit.errors import NumericalError, ParseError, UnsupportedShape, ValidationError
 from qorbit.invariants import (
     DEGREES2,
     DEGREES3,
@@ -222,6 +224,23 @@ class TestSeparationSoundness:
         assert bad is not None
         result = q.oracle_search(rho1, rho2, restarts=4, seed=seed)
         assert result.residual > 1e-6
+
+
+class TestFirstDisagreementScale:
+    @pytest.mark.parametrize("scale", [math.inf, -math.inf, math.nan, 0.0, -0.0, -1.0])
+    def test_scale_not_finite_and_positive_is_refused(self, scale):
+        with pytest.raises(ValidationError, match="coefficient scale must be finite and positive"):
+            first_disagreement(np.zeros(75), np.ones(75), DEGREES3, scale)
+
+    @pytest.mark.parametrize("scale", [1e20, np.float64(1e20), 1e300])
+    def test_overflowing_power_is_numerical_error(self, scale):
+        # 1e20 ** 16 is beyond the float range; the degree-16 members set the power.
+        with pytest.raises(NumericalError, match="overflows at degree 16"):
+            first_disagreement(np.zeros(75), np.ones(75), DEGREES3, scale)
+
+    def test_scale_with_powers_in_range_is_accepted(self):
+        # 1e19 ** 16 = 1e304 is finite; tolerances from rtol * 1e38 up absorb every difference.
+        assert first_disagreement(np.zeros(75), np.ones(75), DEGREES3, 1e19) is None
 
 
 def test_boolean_n_in_invariant_payload_is_parse_error():

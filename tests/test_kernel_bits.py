@@ -31,6 +31,8 @@ hand-written branch per quaternion component.
 """
 
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1376,3 +1378,38 @@ class TestOrbitDimension:
         assert shape.total_dim ** 2 > width > orbit_dim._QR_BLOCK
         assert width % orbit_dim._QR_BLOCK != 0
         self.assert_same(q.random_state(shape, seed=61))
+
+    def test_eight_qubits_stream_in_several_blocks(self):
+        shape = q.SystemShape((2,) * 8)
+        assert orbit_dim._stream_rows(shape.dims) * shape.total_dim < shape.total_dim ** 2
+        self.assert_same(q.random_state(shape, seed=62))
+
+    def test_reused_buffer_keeps_the_bits(self):
+        # The thread's buffer is kept across calls, through a smaller shape and back.
+        big = q.random_state(q.SystemShape((2,) * 8), seed=63)
+        small = q.random_state(q.SystemShape((3, 4)), seed=64)
+        first = q.orbit_dimension(big)
+        kept = orbit_dim._workspace.flat
+        for rho, want in ((big, first), (small, orbit_dimension_ref(small)), (big, first)):
+            got = q.orbit_dimension(rho)
+            assert same_bits(got.singular_values, want.singular_values)
+            assert got.dimension == want.dimension
+        assert orbit_dim._workspace.flat is kept
+        assert same_bits(first.singular_values, orbit_dimension_ref(big).singular_values)
+
+    def test_threads_at_once_match_sequential_bits(self):
+        # Each thread has its own buffer: more threads than cores, switching often.
+        states = [q.random_state(q.SystemShape(dims), seed=65) for dims in ((2,) * 8, (3, 3, 3, 3), (2,) * 7)]
+        want = [q.orbit_dimension(rho) for rho in states]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(states)) as pool:
+                runs = [pool.submit(lambda rho=rho: [q.orbit_dimension(rho) for _ in range(4)]) for rho in states]
+                results = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        for got_all, w in zip(results, want):
+            for got in got_all:
+                assert same_bits(got.singular_values, w.singular_values)
+                assert got.dimension == w.dimension

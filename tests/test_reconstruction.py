@@ -95,6 +95,14 @@ class TestVectorFromQuadratics:
         with pytest.raises(ValidationError, match="not finite|non-finite entry"):
             q.vector_from_quadratics(args["quads"], args["sign"], args["spectrum"])
 
+    # A sum that is not positive would be floored at 1e-300 when the nodes are
+    # scaled, so they would overflow (a warning, an error here) into NaN squares.
+    @pytest.mark.parametrize("spectrum", [(1.0, 0.0, -1.0), (3.0, 2.0, -5.0), (0.0, 0.0, 0.0), (1.0, -2.0, -3.0)])
+    def test_spectrum_without_positive_sum_rejected(self, spectrum):
+        with pytest.raises(ValidationError, match="spectrum sum .* is not positive") as info:
+            q.vector_from_quadratics((1.0, 2.0, 3.0), 0.5, spectrum)
+        assert info.value.margin == sum(spectrum)
+
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_round_trip_recovers_canonical_vector(self, seed):
         _, point, inv = canonical_and_invariants(seed)
