@@ -216,7 +216,7 @@ def orbit_dimension(rho: DensityMatrix, tol: float = RANK_RTOL) -> OrbitDimensio
             r = np.linalg.qr(buf[piece - len(r):min(piece + _QR_BLOCK, end)], mode="r")
             piece = min(piece + _QR_BLOCK, end)
         filled = end - piece
-        if piece > k:  # carry the partial piece up; it lies below rows k + _QR_BLOCK
+        if piece > k:  # carry the partial piece up to row k; filled < _QR_BLOCK, so no overlap
             buf[k:k + filled] = buf[piece:end]
     s = np.linalg.svd(r, compute_uv=False)
     smax = float(s[0]) if s.size else 0.0

@@ -160,7 +160,7 @@ def vector_from_quadratics(quads, sign_invariant: float, spectrum) -> np.ndarray
     re-verified on the result. A spectrum whose sum is not positive is
     refused (``ValidationError``) before the nodes are scaled by that sum.
     """
-    spectrum, quads =_three("spectrum", spectrum)[None], _three("quadratics", quads)[None]
+    spectrum, quads = _three("spectrum", spectrum)[None], _three("quadratics", quads)[None]
     if not math.isfinite(sign_invariant):
         raise ValidationError(f"sign invariant {sign_invariant!r} is not finite")
     total = float(spectrum.sum())
