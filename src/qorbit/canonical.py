@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 
 from .bloch import BlochTensor, _flat, _mv, _parts, _rotate, _site_vectors, _tensor, _top, bloch_payload
-from .errors import UnsupportedShape
+from .errors import NumericalError, UnsupportedShape
 from .invariants import _eigen, _gram_mats, _triple_product
 from .local_action import RotationTriple
 from .tolerances import COMPONENT_TOL, EIGENGAP_RTOL, KLEIN_SIGN_RTOL, SIGN_INVARIANT_TOL
@@ -85,6 +86,10 @@ class CanonicalPoint:
     report: GenericityReport
 
 
+# The margins of a site, in the order _reports checks them for finiteness.
+_MARGINS = ("eigengap", "Gram trace", "smallest component", "sign invariant")
+
+
 def _gap_and_trace(s0: float, s1: float, s2: float) -> tuple[float, float]:
     """The smallest gap and the trace of a decreasing 3-spectrum."""
     # np.sum's order, signed zeros included
@@ -93,12 +98,14 @@ def _gap_and_trace(s0: float, s1: float, s2: float) -> tuple[float, float]:
 
 def _reports(spectra: np.ndarray, vecs: np.ndarray) -> tuple[GenericityReport, ...]:
     """One report per batch member from site-major Gram spectra (n, B, 3) and site
-    vectors in eigenframe gauge (n, B, 3)."""
+    vectors in eigenframe gauge (n, B, 3); the first margin of the first member that
+    is not finite (a degree-9 sign invariant or a trace out of float range) raises."""
     n = len(spectra)
     # The sign invariant of v under diag(s), with diag(s) v taken as s * v: the
     # matrix product only adds exact zeros, which can change the sign of a zero
     # result and nothing else, and abs() drops that sign.
-    signs = np.abs(_triple_product(np.stack((vecs, spectra * vecs, spectra * (spectra * vecs)), axis=-2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        signs = np.abs(_triple_product(np.stack((vecs, spectra * vecs, spectra * (spectra * vecs)), axis=-2)))
     reports = []
     for member in zip(spectra.swapaxes(0, 1).tolist(), vecs.swapaxes(0, 1).tolist(), signs.T.tolist()):
         gaps, traces, mins = [None] * 3, [None] * 3, [None] * 3
@@ -106,6 +113,10 @@ def _reports(spectra: np.ndarray, vecs: np.ndarray) -> tuple[GenericityReport, .
         for site, (spectrum, vec, sign) in enumerate(zip(*member)):
             gaps[site], traces[site] = _gap_and_trace(*spectrum)
             mins[site] = min(map(abs, vec))
+            margins = gaps[site], traces[site], mins[site], sign
+            if not all(map(math.isfinite, margins)):
+                name = next(name for name, margin in zip(_MARGINS, margins) if not math.isfinite(margin))
+                raise NumericalError(f"site {site + 1} {name} is not finite: the tensor's scale overflows it")
             generic = generic and (
                 gaps[site] > EIGENGAP_RTOL * traces[site]
                 and mins[site] > COMPONENT_TOL
@@ -216,11 +227,10 @@ def _canonical2(parts: dict):
 
 
 def _last_sign(f: np.ndarray) -> np.ndarray:
-    """diag(1, 1, sign det f) per member of a stack, with sign 0 read as 1."""
+    """diag(1, 1, sign det f) per member of a stack of orthogonal matrices (det +-1)."""
     d = np.zeros(f.shape)
     d[:, 0, 0] = d[:, 1, 1] = 1.0
-    sign = np.sign(np.linalg.det(f))
-    d[:, 2, 2] = np.where(sign == 0.0, 1.0, sign)
+    d[:, 2, 2] = np.sign(np.linalg.det(f))
     return d
 
 

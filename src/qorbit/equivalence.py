@@ -90,7 +90,7 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
 
     entry_scale = max(float(np.abs(rho1.matrix).max()), float(np.abs(rho2.matrix).max()))
     ident_dev = float(np.abs(rho1.matrix - rho2.matrix).max())
-    if ident_dev <= IDENTICAL_TOL * max(entry_scale, 1e-300):
+    if ident_dev <= IDENTICAL_TOL * entry_scale:
         return EquivalenceVerdict(
             verdict="equivalent",
             witness=Witness("identical", None, ident_dev),

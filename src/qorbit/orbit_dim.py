@@ -219,7 +219,7 @@ def orbit_dimension(rho: DensityMatrix, tol: float = RANK_RTOL) -> OrbitDimensio
         if piece > k:  # carry the partial piece up to row k; filled < _QR_BLOCK, so no overlap
             buf[k:k + filled] = buf[piece:end]
     s = np.linalg.svd(r, compute_uv=False)
-    smax = float(s[0]) if s.size else 0.0
+    smax = float(s[0])
     dim = 0 if smax == 0.0 else int(np.sum(s > tol * smax))
     return OrbitDimension(dimension=dim, singular_values=s)
 

@@ -64,7 +64,7 @@ def _vander_scaled(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _det_vander(spectra) -> np.ndarray:
-    """(x1 - x2)(x2 - x3)(x3 - x1) of a spectrum (3,) or of each in a stack (k, 3)."""
+    """(x1 - x2)(x2 - x3)(x3 - x1) of each spectrum in a stack (k, 3)."""
     x1, x2, x3 = np.asarray(spectra, dtype=float).T
     return (x1 - x2) * (x2 - x3) * (x3 - x1)
 
@@ -225,12 +225,6 @@ class VandermondeSystem:
 
     spectra: tuple[np.ndarray, np.ndarray, np.ndarray]
     vectors: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    def det_vander(self, site: int) -> float:
-        return float(_det_vander(self.spectra[site]))
-
-    def det_product(self, site: int) -> float:
-        return self._det_products()[site]
 
     def _det_products(self) -> list[float]:
         """det(Vandermonde * diag(vector)) of each site."""

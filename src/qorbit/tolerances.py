@@ -16,9 +16,6 @@ EIGENVALUE_FLOOR = -1e-10
 # stays above EIGENVALUE_FLOOR by far more than eigvalsh's own O(D eps |m|) error.
 POSITIVITY_SHIFT = EIGENVALUE_FLOOR / 2
 
-# bloch: imaginary residue of a Pauli expansion coefficient, absolute.
-IMAG_RESIDUE_TOL = 1e-12
-
 # local_action: unitarity of LocalUnitary factors, orthogonality and det of rotations, absolute.
 UNITARITY_TOL = 1e-12
 # local_action: the same residues of an adjoint_rotation or lift_rotation input, absolute.
@@ -26,10 +23,6 @@ SPECIAL_TOL = 1e-10
 # local_action: unit-quaternion component counted as zero when fixing the lift branch, absolute.
 LIFT_BRANCH_TOL = 1e-12
 
-# invariants: lowest Gram eigenvalue accepted as roundoff, absolute.
-GRAM_PSD_TOL = -1e-12
-# invariants: disagreement of the two 2-qubit Gram spectra, absolute.
-GRAM_PAIR_SPECTRA_TOL = 1e-12
 # invariants: single-qubit purity identity |tr rho^2 - (1/2 + 2|alpha|^2)|, absolute.
 PURITY_IDENTITY_TOL = 1e-12
 # invariants: a degree-k invariant difference, relative to scale^k of the coefficient scale.

@@ -14,6 +14,9 @@ from qorbit.canonical import (
     SIGN_INVARIANT_TOL,
     _uniform_sign_element,
 )
+from qorbit.errors import NumericalError
+
+from conftest import product_state
 
 
 def expand_random(dims, seed):
@@ -251,3 +254,41 @@ class TestKleinSelection:
         vec = np.array([0.3, -0.2, 0.7])
         k = _uniform_sign_element(vec)
         assert_uniform_signs(k @ vec)
+
+
+def random_product(n, seed):
+    """The Pauli expansion of a product of n random single-qubit states."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n, 3))
+    vectors *= rng.uniform(0.0, 0.5, (n, 1)) / np.linalg.norm(vectors, axis=1, keepdims=True)
+    return q.expand(product_state(*vectors))
+
+
+class TestScale:
+    """Only what float range cannot hold is refused. A finite tensor is canonicalized up to
+    where its Gram matrices or its reports' degree-9 sign invariants overflow, and its
+    canonical point and gauge follow a power-of-two scaling bit for bit."""
+
+    @pytest.mark.parametrize("k", [-20, 10, 20, 60, 100])
+    @pytest.mark.parametrize("kind", ["full rank", "product"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_powers_of_two_scale_exactly(self, n, kind, k):
+        for seed in range(30):
+            t = expand_random((2,) * n, seed) if kind == "full rank" else random_product(n, seed)
+            scaled = BlochTensor.from_flat(n, t.flatten() * 2.0**k)
+            q.gram(scaled)
+            q.genericity(scaled)
+            point, base = q.canonicalize(scaled), q.canonicalize(t)
+            assert point.tensor.flatten().tobytes() == (base.tensor.flatten() * 2.0**k).tobytes(), seed
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(point.gauge.mats, base.gauge.mats)), seed
+
+    @pytest.mark.parametrize("scale", [1e40, 1e100])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("call", [q.canonicalize, q.genericity], ids=lambda f: f.__name__)
+    def test_overflowing_sign_invariants_are_numerical_errors(self, call, n, scale):
+        # The Gram matrices are finite; the degree-9 sign invariants are not. pytest turns any
+        # numpy warning into an error, so the refusal must come first.
+        t = BlochTensor.from_flat(n, expand_random((2,) * n, 5).flatten() * scale)
+        q.gram(t)
+        with pytest.raises(NumericalError, match="site 1 sign invariant is not finite"):
+            call(t)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qorbit as q
-from qorbit.errors import NumericalError, ParseError, UnsupportedShape, ValidationError
+from qorbit.errors import NumericalError, ParseError, ShapeMismatch, UnsupportedShape, ValidationError
 from qorbit.invariants import (
     DEGREES2,
     DEGREES3,
@@ -241,6 +241,19 @@ class TestFirstDisagreementScale:
     def test_scale_with_powers_in_range_is_accepted(self):
         # 1e19 ** 16 = 1e304 is finite; tolerances from rtol * 1e38 up absorb every difference.
         assert first_disagreement(np.zeros(75), np.ones(75), DEGREES3, 1e19) is None
+
+
+# Vectors that numpy would broadcast (75 against 1), fail to broadcast (75 against 14), or
+# that differ only past the 75 degrees (80 against 80).
+@pytest.mark.parametrize(("values_a", "values_b"), [
+    (np.zeros(75), np.ones(1)),
+    (np.zeros(75), np.ones(14)),
+    (np.zeros(80), np.r_[np.zeros(75), np.ones(5)]),
+], ids=["75-1", "75-14", "80-80"])
+def test_first_disagreement_needs_one_value_per_degree(values_a, values_b):
+    message = rf"shapes \({len(values_a)},\) and \({len(values_b)},\) for 75 degrees"
+    with pytest.raises(ShapeMismatch, match=message):
+        first_disagreement(values_a, values_b, DEGREES3, 1.0)
 
 
 def test_boolean_n_in_invariant_payload_is_parse_error():

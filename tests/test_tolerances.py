@@ -12,9 +12,8 @@ SRC = pathlib.Path(qorbit.__file__).parent
 # Threshold names each module still exposes, with their values.
 EXPOSED = {
     "states": {"HERMITICITY_RTOL": 1e-12, "TRACE_TOL": 1e-12, "EIGENVALUE_FLOOR": -1e-10},
-    "bloch": {"IMAG_RESIDUE_TOL": 1e-12},
     "local_action": {"UNITARITY_TOL": 1e-12, "SPECIAL_TOL": 1e-10},
-    "invariants": {"GRAM_PSD_TOL": -1e-12, "COMPARE_RTOL": 1e-8, "COMPARE_ABS_FLOOR": 1e-12},
+    "invariants": {"COMPARE_RTOL": 1e-8, "COMPARE_ABS_FLOOR": 1e-12},
     "canonical": {"EIGENGAP_RTOL": 1e-8, "COMPONENT_TOL": 1e-8, "SIGN_INVARIANT_TOL": 1e-24},
     "equivalence": {"SPECTRUM_TOL": 1e-10, "CANONICAL_TOL": 1e-6, "IDENTICAL_TOL": 1e-14},
     "orbit_dim": {"RANK_RTOL": 1e-9},
