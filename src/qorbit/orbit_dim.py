@@ -7,14 +7,14 @@ orbit dimension; subtracting it from D^2 - 1 counts the parameters that
 are invariant under local transformations. For n >= 2 sites that count
 equals prod(d_r^2) - sum(d_r^2) + n - 1 at generic states.
 
-No D x D embedded generator is formed: a site generator t acts on rho by
-contracting it into the site's index, rows for h.rho and columns for
-rho.h, at O(D^2 d) per generator. ``tangent_frame`` writes each commutator
-straight into the preallocated frame. The singular values come from a
-tall-skinny QR of the transposed frame, one column block at a time,
-followed by the SVD of the small triangular factor; the frame's Gram
-matrix is never formed, since its eigenvalues would square the rank
-threshold below machine precision. Shapes whose frame would exceed
+No D x D embedded generator is formed: a site generator t acts on rho
+through the site's index, rows for h.rho and columns for rho.h, by one real
+gather per row of t (``_commutators``). ``tangent_frame`` writes each
+commutator straight into the preallocated frame. The singular values come
+from a tall-skinny QR of the transposed frame, one column block at a time,
+followed by the SVD of the small triangular factor; the frame's Gram matrix
+is never formed, since its eigenvalues would square the rank threshold
+below machine precision. Shapes whose frame would exceed
 ``_MAX_FRAME_BYTES`` are refused (``UnsupportedShape``) before any work.
 
 The QR runs on D^2 folded columns, not the frame's 2 D^2. A row is the
@@ -22,20 +22,22 @@ Hermitian X = i[h, rho], whose real part S is symmetric and imaginary part
 T antisymmetric; symmetric and antisymmetric matrices are orthogonal under
 the Frobenius inner product, so <S_a + T_a, S_b + T_b> = <S_a, S_b> +
 <T_a, T_b> and the folded rows S + T have the frame's Gram matrix, hence
-its singular values, at half the QR work.
+its singular values, at half the QR work. A folded row is [Re(h.rho) -
+Im(h.rho)] - [Re(rho.h) - Im(rho.h)]; each side gathers c M[q] (t[p, q] = c)
+or -c N[q] (t[p, q] = i c) from M = Re rho - Im rho and N = Re rho + Im rho.
 A validated rho is Hermitian only to ``HERMITICITY_RTOL``, so <S, T> is not
 exactly zero: for a state at that tolerance the singular values move by up to
 about 1e-12 of the largest, far below ``RANK_RTOL``.
 
-``orbit_dimension`` never materializes the frame. It computes the
-commutators over blocks of whole rows of rho, at most ``_STREAM_ENTRIES``
-entries each, and folds each generator's block straight into its column of
-a column-major buffer that feeds the running QR factor the same
-``_QR_BLOCK``-column pieces as a pass over the whole frame, so its singular
-values are bit for bit the materialized frame's. Beside rho it holds
-(k + 2^12 + 2^14) k floats, not the frame's 2 k D^2. At 2^14 entries a
-generator's working set (two complex commutator blocks, a real scratch, a
-folded column) is 0.8 MB and fits a 2 MiB L2 cache; at 2^16 it is 3 MB.
+``orbit_dimension`` never materializes the frame. It forms M and N over
+blocks of whole rows of rho, at most ``_STREAM_ENTRIES`` entries each, and
+writes each generator's folded block straight into its column of a
+column-major buffer that feeds the running QR factor the same
+``_QR_BLOCK``-column pieces as a pass over the whole folded frame, so its
+singular values are bit for bit the materialized folded frame's. Beside rho
+it holds (k + 2^11 + 2^14) k floats, not the frame's 2 k D^2. At 2^14
+entries a generator's working set (the block's M and N, a real scratch, a
+folded column) is 0.5 MB and fits a 2 MiB L2 cache.
 Each thread keeps its buffer (up to ``_KEEP_BYTES``): fresh buffers of a few
 MB went back to the system and were faulted in again on every call.
 """
@@ -45,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +61,7 @@ from .tolerances import RANK_RTOL
 # orbit_dimension streams the frame but refuses the same shapes.
 _MAX_FRAME_BYTES = 2**30
 # Frame columns folded into the running triangular factor per QR call.
-_QR_BLOCK = 4096
+_QR_BLOCK = 2048
 # Most entries of rho whose commutators orbit_dimension computes at once.
 _STREAM_ENTRIES = 2**14
 _KEEP_BYTES = 2**26  # the largest QR buffer a thread keeps in _workspace
@@ -95,11 +97,13 @@ def _check_frame_size(shape: SystemShape) -> None:
         )
 
 
-def _rows(t: np.ndarray) -> tuple[tuple[int, complex] | None, ...]:
-    """Each row p's one nonzero (q, t[p, q]), or None: a generalized Gell-Mann generator
-    has at most one nonzero in each row and column (``item`` raises on a second one)."""
-    return tuple((q.item(), row[q.item()]) if q.size else None
-                 for row, q in zip(t, map(np.flatnonzero, t)))
+def _rows(t: np.ndarray) -> tuple[tuple[int, int, float] | None, ...]:
+    """Each row p's one nonzero t[p, q] as (kind, q, w), or None: a generalized Gell-Mann
+    generator has at most one nonzero in each row and column (``item`` raises on a second
+    one), real (kind 0) or imaginary (kind 1), and w = Re t[p, q] - Im t[p, q]."""
+    w, imaginary = t.real - t.imag, t.imag != 0
+    return tuple((int(imaginary[p, q.item()]), q.item(), float(w[p, q.item()])) if q.size else None
+                 for p, q in enumerate(map(np.flatnonzero, t)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,13 +112,15 @@ def _row_table(d: int) -> tuple[tuple[tuple, tuple], ...]:
     return tuple((_rows(t), _rows(t.T)) for t in generator_basis(d).generators)
 
 
-def _contract(rows, src: np.ndarray, dst: np.ndarray) -> None:
-    """dst[:, p, :] = t[p, q] src[:, q, :] for the one nonzero (q, t[p, q]) in rows[p], else 0."""
+def _gather(rows, src: np.ndarray, dst: np.ndarray) -> None:
+    """dst[:, p, :] = w src[kind, :, q, :] for the one nonzero (kind, q, w) in rows[p], else 0."""
+    # Runs of at most d entries (rho.h's columns at the last sites) loop faster down the first axis.
+    order = "F" if dst.shape[2] <= dst.shape[1] else "K"
     for p, term in enumerate(rows):
         if term is None:
             dst[:, p, :] = 0.0
         else:
-            np.multiply(src[:, term[0], :], term[1], out=dst[:, p, :])
+            np.multiply(src[term[0], :, term[1], :], term[2], out=dst[:, p, :], order=order)
 
 
 def _stream_rows(dims: tuple[int, ...]) -> int:
@@ -128,22 +134,26 @@ def _stream_rows(dims: tuple[int, ...]) -> int:
     return 1
 
 
-def _commutators(m: np.ndarray, dims: tuple[int, ...], start: int,
-                 stop: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (h.rho, rho.h) over rows [start, stop) of rho for each site
-    generator h, site-major; the same two arrays are overwritten each time.
+def _folded(z: np.ndarray) -> np.ndarray:
+    """(L(z), L(-i z)) for L(z) = Re z - Im z, which folds i[h, rho] into its real plus imaginary part."""
+    return np.stack((z.real - z.imag, z.real + z.imag))
 
-    The row count must be a product of trailing site dimensions and
-    ``start`` a multiple of it. For each site the block then either holds
-    whole groups of the site's row index, contracted in place, or lies in
-    one (before, p) slab of it, whose row of h.rho reads the site's d
-    source slabs of rho.
+
+def _commutators(m: np.ndarray, dims: tuple[int, ...], start: int, stop: int,
+                 sources: Callable[[np.ndarray], np.ndarray], dst: np.ndarray) -> None:
+    """dst[g] = rows [start, stop) of L(h.rho) - L(rho.h) for each site generator h, site-major,
+    for the real-linear L with sources(z) = (A, B) = (L(z), L(-i z)).
+
+    Row p of h.rho is t[p, q] rho[q], so that of L(h.rho) is w A[q] or w B[q] (see ``_rows``): one
+    real gather per row of t, and per row of t^T for the columns of rho.h. The row count must be
+    a product of trailing site dimensions and ``start`` a multiple of it. For each site the block
+    then either holds whole groups of the site's row index, contracted in place, or lies in one
+    (before, p) slab of it, whose row of h.rho reads the sources of the site's d slabs of rho.
     """
-    d_total = m.shape[0]
-    n_rows = stop - start
-    block = m[start:stop]
-    hm = np.empty((n_rows, d_total), dtype=complex)
-    mh = np.empty((n_rows, d_total), dtype=complex)
+    d_total, n_rows = m.shape[0], stop - start
+    block = sources(m[start:stop])
+    scratch = np.empty(n_rows * d_total)
+    g = 0
     for site, d in enumerate(dims):
         before = math.prod(dims[:site])
         after = math.prod(dims[site + 1:])
@@ -152,16 +162,17 @@ def _commutators(m: np.ndarray, dims: tuple[int, ...], start: int,
         cols = (n_rows * before, d, after)
         if n_rows % (d * after) == 0:
             rows = (n_rows // (d * after), d, after * d_total)
-            src, dst, p = block.reshape(rows), hm.reshape(rows), slice(None)
+            src, p = block.reshape((2,) + rows), slice(None)
         else:
             x, offset = divmod(start, d * after)
             q, a = divmod(offset, after)
-            src = m.reshape(before, d, after * d_total)[x:x + 1, :, a * d_total:(a + n_rows) * d_total]
-            dst, p = hm.reshape(1, 1, n_rows * d_total), slice(q, q + 1)
+            src = sources(m.reshape(before, d, after * d_total)[x:x + 1, :, a * d_total:(a + n_rows) * d_total])
+            rows, p = (1, 1, n_rows * d_total), slice(q, q + 1)
         for rows_t, rows_tt in _row_table(d):
-            _contract(rows_t[p], src, dst)
-            _contract(rows_tt, block.reshape(cols), mh.reshape(cols))
-            yield hm, mh
+            _gather(rows_t[p], src, dst[g].reshape(rows))
+            _gather(rows_tt, block.reshape((2,) + cols), scratch.reshape(cols))
+            np.subtract(dst[g], scratch, out=dst[g])
+            g += 1
 
 
 def tangent_frame(rho: DensityMatrix) -> TangentFrame:
@@ -169,11 +180,10 @@ def tangent_frame(rho: DensityMatrix) -> TangentFrame:
     _check_frame_size(rho.shape)
     d_total = rho.shape.total_dim
     k = sum(d * d - 1 for d in rho.shape.dims)
-    out = np.empty((k, 2, d_total, d_total))
-    for row, (hm, mh) in enumerate(_commutators(rho.matrix, rho.shape.dims, 0, d_total)):
-        # i(h.rho - rho.h): real part Im(rho.h - h.rho), imaginary part Re(h.rho - rho.h)
-        np.subtract(mh.imag, hm.imag, out=out[row, 0])
-        np.subtract(hm.real, mh.real, out=out[row, 1])
+    out = np.empty((k, 2, d_total * d_total))
+    # i(h.rho - rho.h): real part L(h.rho) - L(rho.h) for L(z) = -Im z, imaginary part for L(z) = Re z.
+    for part, sources in enumerate((lambda z: np.stack((-z.imag, z.real)), lambda z: np.stack((z.real, z.imag)))):
+        _commutators(rho.matrix, rho.shape.dims, 0, d_total, sources, out[:, part])
     vectors = out.reshape(k, 2 * d_total * d_total)
     vectors.setflags(write=False)
     return TangentFrame(base=rho, vectors=vectors)
@@ -200,16 +210,11 @@ def orbit_dimension(rho: DensityMatrix, tol: float = RANK_RTOL) -> OrbitDimensio
         if flat.nbytes <= _KEEP_BYTES:
             _workspace.flat = flat
     buf = flat[:size].reshape((-1, k), order="F")
-    imag = np.empty((n_rows, d_total))
     r, filled = buf[:0], 0
     for start in range(0, d_total, n_rows):
         end = k + filled + width
-        for g, (hm, mh) in enumerate(_commutators(rho.matrix, dims, start, start + n_rows)):
-            # The real plus the imaginary half of the frame row, as tangent_frame writes them.
-            column = buf[end - width:end, g].reshape(n_rows, d_total)
-            np.subtract(mh.imag, hm.imag, out=column)
-            np.subtract(hm.real, mh.real, out=imag)
-            column += imag
+        # Each generator's folded frame row, Re + Im of i[h, rho], straight into its column.
+        _commutators(rho.matrix, dims, start, start + n_rows, _folded, buf[end - width:end].T)
         piece = k
         while end - piece >= _QR_BLOCK or (start + n_rows == d_total and end > piece):
             buf[piece - len(r):piece] = r

@@ -46,16 +46,19 @@ from .tolerances import EIGENVALUE_FLOOR, HERMITICITY_RTOL, POSITIVITY_SHIFT, TR
 
 # Largest D whose validation takes the spectrum eagerly (see the module docstring).
 _EAGER_SPECTRUM_DIM = 8
+_HERMITICITY_BLOCK = 64  # rows per block of the Hermiticity check above this D; up to it, one expression
 
 
 def _shifted_cholesky_succeeds(m: np.ndarray) -> bool:
     """Whether m - POSITIVITY_SHIFT * I has a Cholesky factor, which proves positivity."""
-    shifted = m.copy()
-    shifted.flat[::m.shape[0] + 1] -= POSITIVITY_SHIFT
+    diagonal = m.diagonal().copy()  # m is shifted in place and restored bit for bit: no D x D copy
+    m.flat[::m.shape[0] + 1] -= POSITIVITY_SHIFT
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        m.flat[::m.shape[0] + 1] = diagonal
     return True
 
 
@@ -108,7 +111,9 @@ class DensityMatrix:
         scale = float(np.abs(m).max()) if m.size else 0.0
         if not math.isfinite(scale):
             raise ValidationError("matrix has a non-finite entry")
-        herm_dev = float(np.abs(m - m.conj().T).max())
+        b = _HERMITICITY_BLOCK  # row blocks of the upper triangle: |m_ij - conj m_ji| is symmetric in (i, j)
+        herm_dev = (float(np.abs(m - m.conj().T).max()) if d <= b else
+                    max(float(np.abs(m[i:i + b, i:] - m[i:, i:i + b].conj().T).max()) for i in range(0, d, b)))
         if herm_dev > HERMITICITY_RTOL * scale:
             raise NotHermitian(
                 f"max |m - m^dag| = {herm_dev:.3e} exceeds {HERMITICITY_RTOL:.0e} * max|m|",

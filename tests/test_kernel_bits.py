@@ -10,8 +10,10 @@ is held there to a rounding bound derived from the terms of the two sums,
 and compared bit for bit at n = 1.
 
 ``orbit_dimension`` streams row blocks of rho instead of ranking the
-materialized tangent frame; its reference is the materializing version,
-and the singular values are compared bit for bit.
+materialized tangent frame; its reference materializes the folded frame
+from the dense embedded generators, one gather of M = Re rho - Im rho or
+N = Re rho + Im rho per nonzero, and the singular values are compared bit
+for bit.
 
 The kernels on ``decide``'s path take a leading batch axis, and ``decide``
 runs both states of a pair as one batch of two. The single-state bodies
@@ -547,18 +549,42 @@ def lift_rotation_ref(o):
     return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]], dtype=complex)
 
 
+def folded_frame_ref(rho):
+    """Each generator's folded frame row Re X + Im X of X = i[h, rho], written as
+    [Re(h rho) - Im(h rho)] - [Re(rho h) - Im(rho h)] with h = 1 x t x 1 embedded at D x D.
+
+    A nonzero h[p, q] is real c or imaginary i c, so row p of h rho contributes
+    c M[q] or -c N[q], and column q of rho h contributes c M[:, p] or -c N[:, p],
+    where M = Re rho - Im rho and N = Re rho + Im rho.
+    """
+    m, dims, d_total = rho.matrix, rho.shape.dims, rho.shape.total_dim
+    sources = (m.real - m.imag, m.real + m.imag)
+    rows = []
+    for site, d in enumerate(dims):
+        eye_b = np.eye(int(np.prod(dims[:site])), dtype=complex)
+        eye_a = np.eye(int(np.prod(dims[site + 1:])), dtype=complex)
+        for t in q.generator_basis(d).generators:
+            h = np.kron(np.kron(eye_b, t), eye_a)
+            left, right = np.zeros((d_total, d_total)), np.zeros((d_total, d_total))
+            for p, k in zip(*np.nonzero(h)):
+                imaginary = int(h[p, k].imag != 0)
+                w = h[p, k].real - h[p, k].imag
+                left[p] = w * sources[imaginary][k]
+                right[:, k] = w * sources[imaginary][:, p]
+            rows.append((left - right).ravel())
+    return np.array(rows)
+
+
 def orbit_dimension_ref(rho, tol=RANK_RTOL):
-    """Rank the materialized frame: fold each QR_BLOCK of columns into the running factor."""
-    vectors = q.tangent_frame(rho).vectors
-    k = vectors.shape[0]
-    half = vectors.shape[1] // 2
-    real, imag = vectors[:, :half], vectors[:, half:]
+    """Rank the materialized folded frame: each QR_BLOCK of columns into the running factor."""
+    folded = folded_frame_ref(rho)
+    k, half = folded.shape
     buf = np.empty((k + orbit_dim._QR_BLOCK, k), order="F")
     rows = 0
     for start in range(0, half, orbit_dim._QR_BLOCK):
         stop = min(start + orbit_dim._QR_BLOCK, half)
         end = rows + stop - start
-        np.add(real[:, start:stop].T, imag[:, start:stop].T, out=buf[rows:end])
+        buf[rows:end] = folded[:, start:stop].T
         r = np.linalg.qr(buf[:end], mode="r")
         rows = r.shape[0]
         buf[:rows] = r

@@ -179,20 +179,25 @@ class TestContractedFrame:
 
     @pytest.mark.parametrize("d", range(2, 9))
     def test_generators_have_one_nonzero_per_row_and_column(self, d):
-        # _contract reads one nonzero per row of t and of t^T.
+        # _gather reads one nonzero per row of t and of t^T, either real or imaginary.
         for t in generator_basis(d).generators:
             nonzero = t != 0
             assert nonzero.sum(axis=0).max() <= 1 and nonzero.sum(axis=1).max() <= 1
+            assert not np.any((t.real != 0) & (t.imag != 0))
 
     def test_contraction_sums_every_nonzero(self):
-        # A generator's shape: one nonzero in each row but the empty row 2.
+        # A generator's shape: one nonzero in each row but the empty row 2, one real and
+        # one imaginary, neither of unit size.
         rng = np.random.default_rng(25)
+        c = rng.standard_normal(2)
         t = np.zeros((3, 3), dtype=complex)
-        t[0, 2], t[1, 0] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        src = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
-        dst = np.full_like(src, np.nan)
-        orbit_dim._contract(orbit_dim._rows(t), src, dst)
-        assert np.allclose(dst, np.einsum("pq,iqj->ipj", t, src), rtol=1e-14, atol=0)
+        t[0, 2], t[1, 0] = c[0], 1j * c[1]
+        z = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+        dst = np.full((4, 3, 5), np.nan)
+        orbit_dim._gather(orbit_dim._rows(t), orbit_dim._folded(z), dst)
+        tz = np.einsum("pq,iqj->ipj", t, z)
+        assert np.allclose(dst, tz.real - tz.imag, rtol=1e-14, atol=0)
+        assert np.all(dst[:, 2, :] == 0.0)
 
     @pytest.mark.parametrize("dims", SHAPES)
     def test_singular_values_match_full_svd(self, dims):
@@ -269,10 +274,10 @@ class TestFoldedRanking:
         assert np.abs(m - m.conj().T).max() > 0.4 * HERMITICITY_RTOL * np.abs(m).max()
         assert_fold_matches_unfolded(rho, rtol=1e-11)
 
-    def test_folded_columns_span_two_blocks_with_remainder(self):
+    def test_folded_columns_span_several_blocks_with_remainder(self):
         rho = q.random_state(q.SystemShape((3, 3, 3, 3)), seed=45)
         folded = rho.shape.total_dim ** 2
-        assert orbit_dim._QR_BLOCK < folded < 2 * orbit_dim._QR_BLOCK
+        assert folded > 2 * orbit_dim._QR_BLOCK
         assert folded % orbit_dim._QR_BLOCK != 0
         assert assert_fold_matches_unfolded(rho).dimension == 4 * 8  # every generator moves it
 
@@ -291,6 +296,28 @@ class TestFoldedRanking:
         finally:
             tracemalloc.stop()
         assert peak < 2 * workspace_bytes
+
+
+class TestForcedStreaming:
+    """Small qudit shapes streamed in tiny blocks: imaginary and non-unit generator
+    entries through both slab branches of the commutator kernel."""
+
+    @pytest.mark.parametrize("dims", [(2, 3, 4), (3, 3, 3), (4, 4), (3, 2, 2)])
+    @pytest.mark.parametrize("rank", [1, 2, None])
+    @pytest.mark.parametrize("block_rows", ["last site", "one"])
+    def test_matches_kron_reference(self, dims, rank, block_rows, monkeypatch):
+        # Rows of the last site's dimension: that site holds whole groups of its row index
+        # and every other site lies in one slab. One row: every site lies in one slab.
+        d_total = math.prod(dims)
+        rows = dims[-1] if block_rows == "last site" else 1
+        monkeypatch.setattr(orbit_dim, "_STREAM_ENTRIES", rows * d_total)
+        assert orbit_dim._stream_rows(dims) == rows
+        rho = q.random_state(q.SystemShape(dims), rank=rank, seed=70)
+        expected = np.linalg.svd(kron_frame(rho), compute_uv=False)
+        result = q.orbit_dimension(rho)
+        assert result.singular_values.shape == expected.shape
+        assert np.max(np.abs(result.singular_values - expected)) <= 1e-13 * expected[0]
+        assert result.dimension == reference_dimension(rho)
 
 
 class TestTolerance:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qorbit as q
+from qorbit import states
 from qorbit.errors import (
     BadRank,
     NotHermitian,
@@ -16,7 +17,7 @@ from qorbit.errors import (
     TraceNotOne,
     ValidationError,
 )
-from qorbit.tolerances import EIGENVALUE_FLOOR
+from qorbit.tolerances import EIGENVALUE_FLOOR, HERMITICITY_RTOL
 
 QUBIT = q.SystemShape((2,))
 
@@ -337,3 +338,46 @@ class TestPositivityRoute:
                 q.DensityMatrix(shape, m)
             assert info.value.margin == min_eig
             assert str(info.value) == f"smallest eigenvalue {min_eig:.3e} below {EIGENVALUE_FLOOR:.0e}"
+
+
+class TestHermiticityBlocks:
+    """Above one block the Hermiticity check takes row blocks of the upper triangle;
+    its deviation is the full max |m - m^dag| bit for bit."""
+
+    @staticmethod
+    def perturbed(d, fraction, seed):
+        """A random state plus an anti-Hermitian term, zero on the diagonal, scaled to
+        fraction * HERMITICITY_RTOL * max|m| at its largest entry."""
+        rng = np.random.default_rng(seed)
+        m = q.random_state(q.SystemShape((d,)), seed=seed).matrix
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        a = g - g.conj().T
+        np.fill_diagonal(a, 0.0)
+        return m + a * (fraction * HERMITICITY_RTOL * np.abs(m).max() / np.abs(a).max())
+
+    @pytest.mark.parametrize("d", [4, 8, 63, 64, 65, 100, 128, 130, 256])
+    @pytest.mark.parametrize("fraction", [0.3, 0.9, 1.1, 3.0])
+    def test_same_deviation_and_outcome_as_the_full_difference(self, d, fraction):
+        assert states._HERMITICITY_BLOCK == 64  # d runs across one block
+        for seed in range(3):
+            m = self.perturbed(d, fraction, seed)
+            herm_dev = float(np.abs(m - m.conj().T).max())
+            if herm_dev <= HERMITICITY_RTOL * float(np.abs(m).max()):
+                q.DensityMatrix(q.SystemShape((d,)), m)
+                continue
+            with pytest.raises(NotHermitian) as info:
+                q.DensityMatrix(q.SystemShape((d,)), m)
+            assert info.value.margin == herm_dev
+
+    @pytest.mark.parametrize("d", [63, 65, 100, 130, 256])
+    def test_refusal_at_zero_tolerance_reports_the_full_difference(self, d, monkeypatch):
+        # Every perturbed state is refused, so the margin shows each deviation computed.
+        matrices = [self.perturbed(d, 0.01 * (seed + 1), seed) for seed in range(6)]
+        for m in matrices[3:]:
+            # the largest deviation at a lower-triangle entry, read only through its mirror
+            m[d - 1, 0] += 1j * HERMITICITY_RTOL * np.abs(m).max()
+        monkeypatch.setattr(states, "HERMITICITY_RTOL", 0.0)
+        for m in matrices:
+            with pytest.raises(NotHermitian) as info:
+                q.DensityMatrix(q.SystemShape((d,)), m)
+            assert info.value.margin == float(np.abs(m - m.conj().T).max())

@@ -1,4 +1,4 @@
-"""Print four SHA-256 digests of qorbit's outputs on fixed-seed corpora.
+"""Print five SHA-256 digests of qorbit's outputs on fixed-seed corpora.
 
 Run it in two checkouts; equal digests mean a change kept every output
 byte of the library and CLI paths below:
@@ -31,6 +31,12 @@ with ``--set minimal``), ``expand --json`` and ``canonical --json``.
 and the outputs of ``orbit-dim --random --json`` on three shapes: one
 ranked in a single stream block and two streamed in several.
 
+``orbit-dims`` hashes only the dimensions: those of ``orbit_dim_shapes(seed)``
+for seeds 1-2, the 9-qubit probe included, and the ``dimension`` field of
+the three ``orbit-dim --random --json`` outputs above. A change that moves
+singular-value roundoff on purpose changes ``orbit`` but should keep this
+one, which shows that every rank held.
+
 ``states`` hashes, for ``DensityMatrix`` on a seeded corpus of states at
 the positivity boundary (D from 4 to 256; smallest eigenvalue just above
 and below ``EIGENVALUE_FLOOR``, at half of it, at 0 in rank-deficient
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -137,16 +144,36 @@ def cli_digest() -> str:
     return digest.hexdigest()
 
 
-def orbit_digest() -> str:
-    digest = hashlib.sha256()
+# One shape ranked in a single stream block and two streamed in several.
+ORBIT_CLI_SHAPES = ("2,3,4", "2,2,2,2,2,2,2,2,2", "3,3,3,3,4")
+
+
+def _corpus_orbits():
+    """(dims, ``orbit_dimension`` result) over ``orbit_dim_shapes(seed)``, seeds 1-2."""
     for seed in (1, 2):
         shapes = corpus.orbit_dim_shapes(seed)
         for item, m in zip(shapes["items"], shapes["first"]):
-            result = qorbit.orbit_dimension(qorbit.DensityMatrix(qorbit.SystemShape(tuple(item["dims"])), m))
-            digest.update(f"{item['dims']} {result.dimension}\n".encode())
-            digest.update(result.singular_values.tobytes())
-    for dims in ("2,3,4", "2,2,2,2,2,2,2,2,2", "3,3,3,3,4"):
+            yield item["dims"], qorbit.orbit_dimension(qorbit.DensityMatrix(qorbit.SystemShape(tuple(item["dims"])), m))
+
+
+def orbit_digest() -> str:
+    digest = hashlib.sha256()
+    for dims, result in _corpus_orbits():
+        digest.update(f"{dims} {result.dimension}\n".encode())
+        digest.update(result.singular_values.tobytes())
+    for dims in ORBIT_CLI_SHAPES:
         _cli(digest, "orbit-dim", "--random", "--dims", dims, "--seed", "1", "--json")
+    return digest.hexdigest()
+
+
+def orbit_dims_digest() -> str:
+    digest = hashlib.sha256()
+    for dims, result in _corpus_orbits():
+        digest.update(f"{dims} {result.dimension}\n".encode())
+    for dims in ORBIT_CLI_SHAPES:
+        out = io.StringIO()
+        code = run(["orbit-dim", "--random", "--dims", dims, "--seed", "1", "--json"], out=out, err=io.StringIO())
+        digest.update(f"{dims} {code} {json.loads(out.getvalue())['dimension']}\n".encode())
     return digest.hexdigest()
 
 
@@ -186,7 +213,8 @@ def states_digest() -> str:
     return digest.hexdigest()
 
 
-DIGESTS = {"library": library_digest, "cli": cli_digest, "orbit": orbit_digest, "states": states_digest}
+DIGESTS = {"library": library_digest, "cli": cli_digest, "orbit": orbit_digest,
+           "orbit-dims": orbit_dims_digest, "states": states_digest}
 
 
 def main(names: list[str]) -> None:
@@ -194,7 +222,7 @@ def main(names: list[str]) -> None:
     if unknown:
         sys.exit(f"unknown digest {', '.join(unknown)}; choose from {', '.join(DIGESTS)}")
     for name in names or DIGESTS:
-        print(f"{name:<7} {DIGESTS[name]()}", flush=True)
+        print(f"{name:<10} {DIGESTS[name]()}", flush=True)
 
 
 if __name__ == "__main__":
