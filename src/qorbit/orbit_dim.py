@@ -135,14 +135,14 @@ def _stream_rows(dims: tuple[int, ...]) -> int:
 
 
 def _folded(z: np.ndarray) -> np.ndarray:
-    """(L(z), L(-i z)) for L(z) = Re z - Im z, which folds i[h, rho] into its real plus imaginary part."""
-    return np.stack((z.real - z.imag, z.real + z.imag))
+    """(L(z), L(-i z)), a stack of one map each, for L(z) = Re z - Im z: i[h, rho] folded to Re + Im."""
+    return np.stack((z.real - z.imag, z.real + z.imag))[:, None]
 
 
 def _commutators(m: np.ndarray, dims: tuple[int, ...], start: int, stop: int,
                  sources: Callable[[np.ndarray], np.ndarray], dst: np.ndarray) -> None:
-    """dst[g] = rows [start, stop) of L(h.rho) - L(rho.h) for each site generator h, site-major,
-    for the real-linear L with sources(z) = (A, B) = (L(z), L(-i z)).
+    """dst[g, j] = rows [start, stop) of L_j(h.rho) - L_j(rho.h) for each site generator h, site-major,
+    for real-linear maps L_j given by sources(z) = (A, B), A[j] = L_j(z) and B[j] = L_j(-i z).
 
     Row p of h.rho is t[p, q] rho[q], so that of L(h.rho) is w A[q] or w B[q] (see ``_rows``): one
     real gather per row of t, and per row of t^T for the columns of rho.h. The row count must be
@@ -152,22 +152,22 @@ def _commutators(m: np.ndarray, dims: tuple[int, ...], start: int, stop: int,
     """
     d_total, n_rows = m.shape[0], stop - start
     block = sources(m[start:stop])
-    scratch = np.empty(n_rows * d_total)
+    parts, scratch = block.shape[1], np.empty(dst.shape[1:])
     g = 0
     for site, d in enumerate(dims):
         before = math.prod(dims[:site])
         after = math.prod(dims[site + 1:])
         # h = 1_before x t x 1_after acts on the site's row index of rho in
         # h.rho and, through t^T, on its column index in rho.h.
-        cols = (n_rows * before, d, after)
+        cols = (parts * n_rows * before, d, after)
         if n_rows % (d * after) == 0:
-            rows = (n_rows // (d * after), d, after * d_total)
+            rows = (parts * n_rows // (d * after), d, after * d_total)
             src, p = block.reshape((2,) + rows), slice(None)
         else:
             x, offset = divmod(start, d * after)
             q, a = divmod(offset, after)
-            src = sources(m.reshape(before, d, after * d_total)[x:x + 1, :, a * d_total:(a + n_rows) * d_total])
-            rows, p = (1, 1, n_rows * d_total), slice(q, q + 1)
+            src = sources(m.reshape(before, d, after * d_total)[x, :, a * d_total:(a + n_rows) * d_total])
+            rows, p = (parts, 1, n_rows * d_total), slice(q, q + 1)
         for rows_t, rows_tt in _row_table(d):
             _gather(rows_t[p], src, dst[g].reshape(rows))
             _gather(rows_tt, block.reshape((2,) + cols), scratch.reshape(cols))
@@ -182,8 +182,8 @@ def tangent_frame(rho: DensityMatrix) -> TangentFrame:
     k = sum(d * d - 1 for d in rho.shape.dims)
     out = np.empty((k, 2, d_total * d_total))
     # i(h.rho - rho.h): real part L(h.rho) - L(rho.h) for L(z) = -Im z, imaginary part for L(z) = Re z.
-    for part, sources in enumerate((lambda z: np.stack((-z.imag, z.real)), lambda z: np.stack((z.real, z.imag)))):
-        _commutators(rho.matrix, rho.shape.dims, 0, d_total, sources, out[:, part])
+    _commutators(rho.matrix, rho.shape.dims, 0, d_total,
+                 lambda z: np.stack((-z.imag, z.real, z.real, z.imag)).reshape((2, 2) + z.shape), out)
     vectors = out.reshape(k, 2 * d_total * d_total)
     vectors.setflags(write=False)
     return TangentFrame(base=rho, vectors=vectors)

@@ -194,7 +194,7 @@ class TestContractedFrame:
         t[0, 2], t[1, 0] = c[0], 1j * c[1]
         z = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
         dst = np.full((4, 3, 5), np.nan)
-        orbit_dim._gather(orbit_dim._rows(t), orbit_dim._folded(z), dst)
+        orbit_dim._gather(orbit_dim._rows(t), orbit_dim._folded(z)[:, 0], dst)
         tz = np.einsum("pq,iqj->ipj", t, z)
         assert np.allclose(dst, tz.real - tz.imag, rtol=1e-14, atol=0)
         assert np.all(dst[:, 2, :] == 0.0)

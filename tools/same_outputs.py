@@ -50,6 +50,7 @@ come from ``perfbench/corpus.py``, which is only imported.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -101,11 +102,17 @@ def library_digest() -> str:
     return digest.hexdigest()
 
 
-def _cli(digest, *argv) -> tuple[int, str]:
+def _run(*argv) -> tuple[bytes, int, str]:
+    """One CLI call's record to hash (arguments, exit code, stdout and stderr), exit code and stdout."""
     out, err = io.StringIO(), io.StringIO()
     code = run(list(argv), out=out, err=err)
-    digest.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
-    return code, out.getvalue()
+    return f"{' '.join(argv)}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode(), code, out.getvalue()
+
+
+def _cli(digest, *argv) -> tuple[int, str]:
+    record, code, out = _run(*argv)
+    digest.update(record)
+    return code, out
 
 
 def cli_digest() -> str:
@@ -148,32 +155,39 @@ def cli_digest() -> str:
 ORBIT_CLI_SHAPES = ("2,3,4", "2,2,2,2,2,2,2,2,2", "3,3,3,3,4")
 
 
-def _corpus_orbits():
-    """(dims, ``orbit_dimension`` result) over ``orbit_dim_shapes(seed)``, seeds 1-2."""
+@functools.cache
+def _orbit_runs():
+    """(dims, ``orbit_dimension`` result) over ``orbit_dim_shapes(seed)``, seeds 1-2, and
+    ``_run``'s triple for ``orbit-dim --random --json`` on each of ``ORBIT_CLI_SHAPES``;
+    computed once for the ``orbit`` and ``orbit-dims`` digests."""
+    results = []
     for seed in (1, 2):
         shapes = corpus.orbit_dim_shapes(seed)
         for item, m in zip(shapes["items"], shapes["first"]):
-            yield item["dims"], qorbit.orbit_dimension(qorbit.DensityMatrix(qorbit.SystemShape(tuple(item["dims"])), m))
+            rho = qorbit.DensityMatrix(qorbit.SystemShape(tuple(item["dims"])), m)
+            results.append((item["dims"], qorbit.orbit_dimension(rho)))
+    calls = [_run("orbit-dim", "--random", "--dims", dims, "--seed", "1", "--json") for dims in ORBIT_CLI_SHAPES]
+    return results, calls
 
 
 def orbit_digest() -> str:
     digest = hashlib.sha256()
-    for dims, result in _corpus_orbits():
+    results, calls = _orbit_runs()
+    for dims, result in results:
         digest.update(f"{dims} {result.dimension}\n".encode())
         digest.update(result.singular_values.tobytes())
-    for dims in ORBIT_CLI_SHAPES:
-        _cli(digest, "orbit-dim", "--random", "--dims", dims, "--seed", "1", "--json")
+    for record, _, _ in calls:
+        digest.update(record)
     return digest.hexdigest()
 
 
 def orbit_dims_digest() -> str:
     digest = hashlib.sha256()
-    for dims, result in _corpus_orbits():
+    results, calls = _orbit_runs()
+    for dims, result in results:
         digest.update(f"{dims} {result.dimension}\n".encode())
-    for dims in ORBIT_CLI_SHAPES:
-        out = io.StringIO()
-        code = run(["orbit-dim", "--random", "--dims", dims, "--seed", "1", "--json"], out=out, err=io.StringIO())
-        digest.update(f"{dims} {code} {json.loads(out.getvalue())['dimension']}\n".encode())
+    for dims, (_, code, out) in zip(ORBIT_CLI_SHAPES, calls):
+        digest.update(f"{dims} {code} {json.loads(out)['dimension']}\n".encode())
     return digest.hexdigest()
 
 
