@@ -76,6 +76,14 @@ class GenericityReport:
             "generic": bool(self.generic),
         }
 
+    def _scaled(self, e: int) -> GenericityReport:
+        """The margins of the tensor scaled by 2^e, exactly: each of degree k times 2^(ke), 2 for
+        gaps and traces, 1 for components, 9 for sign invariants. ``generic`` stays as judged."""
+        def scaled(values, k):
+            return tuple([None if v is None else math.ldexp(v, k) for v in values])
+        return GenericityReport(self.n, scaled(self.eigengaps, 2 * e), scaled(self.gram_traces, 2 * e),
+                                scaled(self.min_components, e), scaled(self.sign_invariants, 9 * e), self.generic)
+
 
 @dataclass(frozen=True)
 class CanonicalPoint:

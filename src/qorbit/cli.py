@@ -97,7 +97,8 @@ def build_parser() -> _Parser:
                         help="write the machine payload to stdout, report to stderr")
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=_tol_arg, default=None,
-                     help="override the comparison / rank tolerance")
+                     help="override the comparison tolerance (equiv: relative to the pair's "
+                          "coefficient norm) or the rank tolerance (orbit-dim)")
 
     parser = _Parser(prog="qorbit",
                      description="local-unitary orbit toolkit for multi-particle density matrices")

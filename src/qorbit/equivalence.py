@@ -1,13 +1,12 @@
 """Decide local-unitary equivalence of two states, with a witness per verdict.
 
 The decision pipeline is: global spectra (cheapest witness), then the
-polynomial invariant fingerprint under a degree-aware tolerance, then the
-canonical forms. Both states are canonicalized once, and their points are
-compared only when both genericity reports (which travel with the points)
-certify a generic orbit. Matching invariants on a non-generic orbit yield
-``inconclusive`` -- the canonical construction carries no uniqueness
-guarantee there. A verdict carries its witness and those reports, not a
-local unitary mapping one state to the other.
+polynomial invariant fingerprint, then the canonical forms, both on the
+pair scaled exactly to a coefficient norm in [0.5, 1) and under one
+roundoff budget. On a generic orbit the canonical point is a complete
+invariant, so it decides either way; on a non-generic one matching
+invariants yield ``inconclusive``. A verdict carries its witness and the
+genericity reports, not a local unitary mapping one state to the other.
 
 ``oracle_search`` is an independent cross check, run only on request
 (``decide`` never calls it): a multi-start local minimization of the conjugation residual over per-site special unitaries,
@@ -19,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +27,10 @@ from scipy.optimize import minimize
 from .bloch import PAULI, _expand, _flat, _split, _top
 from .canonical import GenericityReport, _canonical
 from .errors import ShapeMismatch, UnsupportedShape, ValidationError
-from .invariants import _fingerprint, _gram_mats, coefficient_scale, first_disagreement
+from .invariants import _fingerprint, _gram_mats, first_disagreement
 from .local_action import LocalUnitary
 from .states import DensityMatrix, _rng
-from .tolerances import CANONICAL_TOL, COMPARE_RTOL, IDENTICAL_TOL, ORACLE_GTOL, SPECTRUM_TOL
+from .tolerances import COMPARE_RTOL, IDENTICAL_TOL, ORACLE_GTOL, ROUNDOFF_FACTOR, SPECTRUM_TOL
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,7 @@ def _check_pair(rho1: DensityMatrix, rho2: DensityMatrix) -> int:
     if rho1.shape != rho2.shape:
         raise ShapeMismatch(f"shapes differ: {rho1.shape} vs {rho2.shape}")
     if not rho1.shape.is_qubits or rho1.shape.n not in (2, 3):
-        raise UnsupportedShape(
-            f"equivalence decision covers 2- and 3-qubit states, got {rho1.shape}"
-        )
+        raise UnsupportedShape(f"equivalence decision covers 2- and 3-qubit states, got {rho1.shape}")
     return rho1.shape.n
 
 
@@ -76,13 +74,13 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
            rtol: float = COMPARE_RTOL) -> EquivalenceVerdict:
     """Equivalence verdict for two 2- or 3-qubit states.
 
-    ``distinct`` always names the first differing invariant (or the
-    spectrum) as a witness. Past the invariants both tensors are
-    canonicalized, and the verdict is gated on the two canonical points'
-    genericity reports: ``equivalent`` reports the largest canonical
-    component deviation, and a non-generic report gives ``inconclusive``.
-    ``rtol`` rescales the degree-aware invariant comparison tolerance; it
-    must be finite and at least 0.
+    Past the spectrum, the pair is scaled by the power of two that puts nu,
+    its larger coefficient norm (an orbit invariant), in [0.5, 1). ``rtol``
+    (finite, >= 0) is then relative to nu^k for a degree-k invariant and to
+    nu for a canonical component, with ``ROUNDOFF_FACTOR``'s budget on top.
+    If both genericity reports (judged on the scaled pair) are generic, the
+    canonical deviation decides; otherwise matching invariants give
+    ``inconclusive``. Witness values and margins are at the input's scale.
     """
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ValidationError(f"comparison tolerance must be finite and >= 0, got {rtol!r}")
@@ -91,51 +89,41 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
     entry_scale = max(float(np.abs(rho1.matrix).max()), float(np.abs(rho2.matrix).max()))
     ident_dev = float(np.abs(rho1.matrix - rho2.matrix).max())
     if ident_dev <= IDENTICAL_TOL * entry_scale:
-        return EquivalenceVerdict(
-            verdict="equivalent",
-            witness=Witness("identical", None, ident_dev),
-        )
+        return EquivalenceVerdict("equivalent", Witness("identical", None, ident_dev))
 
-    spec_diff = float(np.abs(rho1.eigenvalues() - rho2.eigenvalues()).max())
+    spectra = rho1.eigenvalues(), rho2.eigenvalues()
+    spec_diff = float(np.abs(spectra[0] - spectra[1]).max())
     if spec_diff > SPECTRUM_TOL:
-        return EquivalenceVerdict(
-            verdict="distinct",
-            witness=Witness("spectrum", None, spec_diff),
-        )
+        return EquivalenceVerdict("distinct", Witness("spectrum", None, spec_diff))
 
-    # Both states as one batch of two: each state's Gram matrices feed both
-    # its invariants and its canonical gauge.
+    # Both states as one batch of two; each state's Gram matrices feed its invariants and its gauge.
     coeffs = _expand(np.array((rho1.matrix, rho2.matrix)), n)
-    parts = _split(coeffs, n)
+    nu = max(math.hypot(*row) for row in coeffs.tolist())
+    if nu == 0.0:  # the states differ only in anti-Hermitian roundoff, which the expansion drops
+        return EquivalenceVerdict("equivalent", Witness("identical", None, ident_dev))
+    e = math.frexp(nu)[1]
+    nu = math.ldexp(nu, -e)
+    # The input's rounding: eps times its entries, bounded in any gauge by the top eigenvalue.
+    top = max(float(spectra[0][-1]), float(spectra[1][-1]))
+    roundoff = ROUNDOFF_FACTOR * sys.float_info.epsilon * max(nu, math.ldexp(top, -e))
+    parts = _split(np.ldexp(coeffs, -e), n)
     g = _gram_mats(_top(parts))
     family, (inv1, inv2) = _fingerprint(parts, g, n)
-    bad = first_disagreement(inv1, inv2, family.DEGREES, coefficient_scale(coeffs), rtol=rtol)
+    bad = first_disagreement(inv1, inv2, family.DEGREES, nu, rtol=rtol + roundoff / nu)
     if bad is not None:
-        return EquivalenceVerdict(
-            verdict="distinct",
-            witness=Witness(
-                family.NAMES[bad],
-                (float(inv1[bad]), float(inv2[bad])),
-                float(abs(inv1[bad] - inv2[bad])),
-            ),
-        )
+        k = family.DEGREES[bad] * e
+        values = math.ldexp(inv1[bad], k), math.ldexp(inv2[bad], k)
+        return EquivalenceVerdict("distinct", Witness(family.NAMES[bad], values, abs(values[0] - values[1])))
 
     canonical, _, reports = _canonical(parts, n, g)
+    at_input = tuple(report._scaled(e) for report in reports)
     if not (reports[0].generic and reports[1].generic):
-        return EquivalenceVerdict(
-            verdict="inconclusive",
-            witness=Witness("non-generic", None, 0.0),
-            genericity=reports,
-        )
+        return EquivalenceVerdict("inconclusive", Witness("non-generic", None, 0.0), at_input)
     points = _flat(canonical)
     deviation = float(np.abs(points[0] - points[1]).max())
-    # Matching invariants with distant canonical points are numerically
-    # contradictory data: refuse to guess.
-    return EquivalenceVerdict(
-        verdict="equivalent" if deviation <= CANONICAL_TOL else "inconclusive",
-        witness=Witness("canonical", None, deviation),
-        genericity=reports,
-    )
+    relgap = min(g / t for report in reports for g, t in zip(report.eigengaps, report.gram_traces) if g is not None)
+    verdict = "equivalent" if deviation <= roundoff * (1.0 + 1.0 / relgap) + rtol * nu else "distinct"
+    return EquivalenceVerdict(verdict, Witness("canonical", None, math.ldexp(deviation, e)), at_input)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 from . import fileio
 from .bloch import BlochTensor, _flat, _mv, _parts, _rotate, _site_vectors, _top, reconstruct
 from .errors import NumericalError, ParseError, ShapeMismatch, UnsupportedShape, ValidationError
-from .tolerances import COEFFICIENT_SCALE_FLOOR, COMPARE_ABS_FLOOR, COMPARE_RTOL, PURITY_IDENTITY_TOL
+from .tolerances import COMPARE_RTOL, PURITY_IDENTITY_TOL
 
 PAIR_KEYS = ("12", "13", "23")
 
@@ -305,11 +305,6 @@ def invariant1(t: BlochTensor) -> Invariant1:
     return Invariant1(value=value, purity=purity)
 
 
-def coefficient_scale(*coeffs: np.ndarray) -> float:
-    """Largest magnitude across arrays of Bloch coefficients, floored away from 0."""
-    return max(COEFFICIENT_SCALE_FLOOR, *(float(np.abs(c).max()) for c in coeffs))
-
-
 def first_disagreement(
     values_a: np.ndarray,
     values_b: np.ndarray,
@@ -319,9 +314,9 @@ def first_disagreement(
 ) -> int | None:
     """Index of the first invariant differing beyond its degree tolerance.
 
-    A degree-k invariant is compared against rtol * scale^k with an
-    absolute floor, because the families mix polynomial degrees 2 to 16
-    and a flat relative test would over- or under-weigh the extremes.
+    A degree-k invariant is compared against rtol * scale^k, because the
+    families mix polynomial degrees 2 to 16 and a flat relative test would
+    over- or under-weigh the extremes.
     Both vectors must hold one value per degree, else ``ShapeMismatch``.
     ``scale`` must be finite and positive (``ValidationError``); one whose
     degree-k power overflows raises ``NumericalError``.
@@ -337,7 +332,7 @@ def first_disagreement(
     diffs = np.abs(values_a - values_b)
     # One tolerance per distinct degree, with Python's ** (numpy's power may round differently).
     try:
-        tols = np.array([max(COMPARE_ABS_FLOOR, rtol * scale**k) for k in distinct])
+        tols = np.array([rtol * scale**k for k in distinct])
     except OverflowError:
         raise NumericalError(f"coefficient scale {scale!r} overflows at degree {distinct[-1]}") from None
     hits = np.flatnonzero(diffs > tols[index])

@@ -25,16 +25,15 @@ LIFT_BRANCH_TOL = 1e-12
 
 # invariants: single-qubit purity identity |tr rho^2 - (1/2 + 2|alpha|^2)|, absolute.
 PURITY_IDENTITY_TOL = 1e-12
-# invariants: a degree-k invariant difference, relative to scale^k of the coefficient scale.
+# invariants, equivalence: a degree-k invariant difference, relative to scale^k. In decide the scale
+# is the pair's larger coefficient norm nu, and a canonical point deviation counts as degree 1.
 COMPARE_RTOL = 1e-8
-# invariants: the smallest invariant difference ever counted, absolute.
-COMPARE_ABS_FLOOR = 1e-12
-# invariants: lowest coefficient scale, absolute, so scale^k stays above zero.
-COEFFICIENT_SCALE_FLOOR = 1e-30
 
 # canonical: Gram eigengap, relative to the Gram trace.
 EIGENGAP_RTOL = 1e-8
-# canonical: smallest |component| of a canonical site vector, absolute.
+# canonical: smallest |component| of a canonical site vector, absolute. decide judges genericity on
+# the pair scaled by a power of two to nu in [0.5, 1), so there this and SIGN_INVARIANT_TOL act
+# relative to nu and nu^9.
 COMPONENT_TOL = 1e-8
 # canonical: |degree-9 sign invariant| of a site, absolute.
 SIGN_INVARIANT_TOL = 1e-24
@@ -43,8 +42,15 @@ KLEIN_SIGN_RTOL = 1e-12
 
 # equivalence: largest global eigenvalue difference of two states, absolute.
 SPECTRUM_TOL = 1e-10
-# equivalence: largest canonical component deviation of an equivalent pair, absolute.
-CANONICAL_TOL = 1e-6
+# equivalence: decide's roundoff budget, in units of eps * max(nu, lambda) on the pair scaled to
+# nu in [0.5, 1); lambda, the larger top eigenvalue, bounds the input's entries in any gauge. It is
+# added to rtol for the invariants, and bounds a canonical deviation times 1 + 1/relgap (relgap: the
+# smallest Gram eigengap over its trace). Derived, not fitted: per state a canonical component is
+# off by the input's rounding (eps * lambda, in the matrix and again in the expansion), by the
+# eigenframe's turn times nu (Davis and Kahan 1970: angle <= |dX| / gap, |dX| a few eps * tr X)
+# and by a 3-term sum per rotated axis, about 4 eps * scale * (1 + 1/relgap); a deviation adds two
+# states' errors, and 2 covers the first-order model: 4 * 2 * 2. Bell/GHZ-mixed pairs reached 1.45.
+ROUNDOFF_FACTOR = 16
 # equivalence: max|rho1 - rho2| of an identical pair, relative to the largest entry.
 IDENTICAL_TOL = 1e-14
 # equivalence: BFGS gradient norm at which an oracle restart stops, absolute.

@@ -9,11 +9,18 @@ to p). The moved matrix carries absolute roundoff of about eps / D per
 coefficient, which is 1e-12 of nu**k at p = 1e-4, so ``RTOL`` leaves a wide
 margin.
 
-``decide``'s gauge and depolarizing cases are not here: at small p or near
-a tolerance its verdict still depends on the gauge and on p.
+``decide``'s verdict is held to the same: on-orbit and mirror pairs
+depolarized at p = 2^-k, k = 0 ... 13, get one verdict at every p and
+under independent local unitaries on each state. ``decide`` compares the
+pair after scaling it exactly by a power of two to a coefficient norm in
+[0.5, 1), so p and the gauge move its comparisons by roundoff only, which
+its budget covers. On-orbit pairs mixed toward a Bell or GHZ state, whose Gram
+spectra are nearly degenerate, are never called ``distinct``, at the
+default rtol or at 0.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -99,3 +106,43 @@ def test_canonical_point(pair):
 def test_orbit_dimension(pair):
     a, b = (q.orbit_dimension(rho) for rho in pair)
     assert a.dimension == b.dimension
+
+
+def depolarized(rho, p):
+    d = rho.shape.total_dim
+    return q.DensityMatrix(rho.shape, (1.0 - p) * np.eye(d) / d + p * rho.matrix)
+
+
+@pytest.mark.parametrize("kind", ["on-orbit", "mirror"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decide_one_verdict_at_every_mix_and_gauge(kind, n, seed):
+    shape = q.SystemShape((2,) * n)
+    rho = q.random_state(shape, seed=seed)
+    if kind == "on-orbit":
+        partner = q.apply(q.haar_local(shape, seed=seed + 100), rho)
+    else:
+        partner = q.DensityMatrix(shape, rho.matrix.conj())
+    verdicts = set()
+    for k in range(14):
+        pair = [depolarized(x, 2.0**-k) for x in (rho, partner)]
+        verdicts.add(q.decide(*pair).verdict)
+        for gauge in range(2):
+            seeds = (1000 * seed + 10 * k + gauge, 2000 * seed + 10 * k + gauge)
+            verdicts.add(q.decide(*(q.apply(q.haar_local(shape, seed=s), x) for s, x in zip(seeds, pair))).verdict)
+    assert verdicts == {"equivalent" if kind == "on-orbit" else "distinct"}
+
+
+@covariance
+@given(st.sampled_from((2, 3)), st.floats(-7.0, 0.0), SEEDS, SEEDS, st.sampled_from((None, 0.0)))
+def test_decide_near_degenerate_on_orbit_pairs_never_distinct(n, log_weight, seed, unitary_seed, rtol):
+    """A Bell (n = 2) or GHZ (n = 3) state mixed with a random state of weight w has Gram
+    eigengaps of about w relative to their trace, which the canonical budget's 1/relgap covers."""
+    shape = q.SystemShape((2,) * n)
+    d = shape.total_dim
+    psi = np.zeros(d)
+    psi[0] = psi[-1] = 2.0**-0.5
+    w = 10.0**log_weight
+    rho = q.DensityMatrix(shape, (1.0 - w) * np.outer(psi, psi) + w * q.random_state(shape, seed=seed).matrix)
+    moved = q.apply(q.haar_local(shape, seed=unitary_seed), rho)
+    assert q.decide(rho, moved, **({} if rtol is None else {"rtol": rtol})).verdict != "distinct"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qorbit as q
+from qorbit.bloch import PAULI
 from qorbit.equivalence import spectral_lower_bound
 from qorbit.errors import ShapeMismatch, UnsupportedShape, ValidationError
 
@@ -41,6 +42,19 @@ def pair_of_kind(kind, n, seed):
     return rho, q.random_state(shape, rank=1 + seed % d, seed=seed + 1)
 
 
+def epsilon_pair(n, seed, eps):
+    """A full-rank state and its image under e^{i eps H}, H a random global Hermitian of norm 1:
+    never LU-equivalent, and as close as eps makes them."""
+    shape = q.SystemShape((2,) * n)
+    d = 2**n
+    rho = q.random_state(shape, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    w, v = np.linalg.eigh((g + g.conj().T) / 2.0)
+    u = (v * np.exp(1j * eps * w / np.abs(w).max())) @ v.conj().T
+    return rho, q.DensityMatrix(shape, u @ rho.matrix @ u.conj().T)
+
+
 PAIR_KINDS = ["on-orbit", "depolarized 0.3", "depolarized 0.01", "isospectral", "mirror", "random"]
 
 
@@ -53,6 +67,17 @@ class TestDecide:
     def test_identical_non_generic_states(self):
         mm = q.maximally_mixed(q.SystemShape((2, 2)))
         assert q.decide(mm, mm).verdict == "equivalent"
+
+    def test_states_apart_only_in_admitted_anti_hermitian_roundoff(self):
+        """Both Pauli expansions are zero, so there is no pair norm to scale by: the states are
+        the maximally mixed state twice, as far as any later stage can see."""
+        shape = q.SystemShape((2, 2))
+        word = np.kron(PAULI[0], PAULI[1])
+        rho1 = q.DensityMatrix(shape, np.eye(4, dtype=complex) / 4)
+        rho2 = q.DensityMatrix(shape, np.eye(4) / 4 + 1e-13j * word)
+        verdict = q.decide(rho1, rho2)
+        assert verdict.verdict == "equivalent"
+        assert verdict.witness == q.equivalence.Witness("identical", None, 1e-13)
 
     @pytest.mark.parametrize("seed", [2, 3, 4, 5])
     def test_on_orbit_pairs_equivalent(self, seed):
@@ -150,9 +175,31 @@ class TestDecide:
             q.decide(rho1, rho2, rtol=rtol)
 
     def test_rtol_zero_accepted(self):
-        # Roundoff on an on-orbit pair stays under the absolute comparison floor.
+        # Roundoff on an on-orbit pair stays within decide's roundoff budget.
         rho1, rho2 = on_orbit_pair((2, 2), 22, 422)
         assert q.decide(rho1, rho2, rtol=0.0).verdict == "equivalent"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [23, 24, 25])
+    def test_rtol_zero_never_separates_depolarized_on_orbit_pairs(self, n, seed):
+        rho, sigma = pair_of_kind("on-orbit", n, seed)
+        d = 2**n
+        for k in range(14):
+            p = 2.0**-k
+            pair = (q.DensityMatrix(x.shape, (1.0 - p) * np.eye(d) / d + p * x.matrix) for x in (rho, sigma))
+            assert q.decide(*pair, rtol=0.0).verdict != "distinct", p
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rtol_zero_resolves_epsilon_pairs(self, n):
+        for seed in range(26, 31):
+            assert q.decide(*epsilon_pair(n, seed, 1e-11), rtol=0.0).verdict == "distinct", seed
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [32, 33, 34])
+    def test_mirror_image_distinct(self, n, seed):
+        """A generic state and its complex conjugate lie on mirror-image orbits."""
+        rho, mirror = pair_of_kind("mirror", n, seed)
+        assert q.decide(rho, mirror).verdict == "distinct"
 
     def test_unsupported_shape(self):
         rho = q.random_state(q.SystemShape((2, 3)), seed=18)

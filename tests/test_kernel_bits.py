@@ -32,6 +32,7 @@ Pauli table, the product as an explicit loop, and the lift as one
 hand-written branch per quaternion component.
 """
 
+import dataclasses
 import itertools
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -801,7 +802,7 @@ class TestInvariantKernels:
         def ref():
             diffs = np.abs(a - b)
             for i, (diff, k) in enumerate(zip(diffs, degrees)):
-                if diff > max(invariants.COMPARE_ABS_FLOOR, rtol * scale**k):
+                if diff > rtol * scale**k:
                     return i
             return None
 
@@ -920,7 +921,6 @@ class TestBlochKernels:
     @given(st.one_of(tensors(1), tensors(2), tensors(3)))
     def test_max_abs(self, t):
         assert same_bits(t.max_abs(), max_abs_ref(t))
-        assert same_bits(invariants.coefficient_scale(t.flatten()), max(1e-30, max_abs_ref(t)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(states(2), states(3)))
@@ -1271,6 +1271,9 @@ class TestPairBatch:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(states(2), states(3)), st.integers(0, 10**6))
     def test_decide_reports_are_the_canonical_reports(self, rho, seed):
+        """decide canonicalizes the pair scaled by a power of two and scales each margin back,
+        exactly: the margins are canonicalize's bit for bit. ``generic`` is judged on the scaled
+        pair, where the absolute thresholds act relative to its norm, so it may only turn True."""
         partners = (q.apply(q.haar_local(rho.shape, seed=seed), rho),
                     q.DensityMatrix(rho.shape, rho.matrix.conj()))
         for partner in partners:
@@ -1278,7 +1281,9 @@ class TestPairBatch:
             if verdict.genericity is None:
                 continue
             for state, report in zip((rho, partner), verdict.genericity):
-                assert repr(report) == repr(q.canonicalize(q.expand(state)).report)
+                alone = q.canonicalize(q.expand(state)).report
+                assert repr(dataclasses.replace(report, generic=alone.generic)) == repr(alone)
+                assert report.generic or not alone.generic
 
 
 class TestReconstruction:

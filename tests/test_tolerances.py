@@ -13,9 +13,9 @@ SRC = pathlib.Path(qorbit.__file__).parent
 EXPOSED = {
     "states": {"HERMITICITY_RTOL": 1e-12, "TRACE_TOL": 1e-12, "EIGENVALUE_FLOOR": -1e-10},
     "local_action": {"UNITARITY_TOL": 1e-12, "SPECIAL_TOL": 1e-10},
-    "invariants": {"COMPARE_RTOL": 1e-8, "COMPARE_ABS_FLOOR": 1e-12},
+    "invariants": {"COMPARE_RTOL": 1e-8},
     "canonical": {"EIGENGAP_RTOL": 1e-8, "COMPONENT_TOL": 1e-8, "SIGN_INVARIANT_TOL": 1e-24},
-    "equivalence": {"SPECTRUM_TOL": 1e-10, "CANONICAL_TOL": 1e-6, "IDENTICAL_TOL": 1e-14},
+    "equivalence": {"SPECTRUM_TOL": 1e-10, "IDENTICAL_TOL": 1e-14},
     "orbit_dim": {"RANK_RTOL": 1e-9},
     "reconstruction": {
         "NEGATIVE_SQUARE_HARD": -1e-6,
