@@ -66,7 +66,9 @@ def _check_pair(rho1: DensityMatrix, rho2: DensityMatrix) -> int:
     if rho1.shape != rho2.shape:
         raise ShapeMismatch(f"shapes differ: {rho1.shape} vs {rho2.shape}")
     if not rho1.shape.is_qubits or rho1.shape.n not in (2, 3):
-        raise UnsupportedShape(f"equivalence decision covers 2- and 3-qubit states, got {rho1.shape}")
+        raise UnsupportedShape(
+            f"equivalence decision covers 2- and 3-qubit states, got {rho1.shape}"
+        )
     return rho1.shape.n
 
 
@@ -121,7 +123,7 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
         return EquivalenceVerdict("inconclusive", Witness("non-generic", None, 0.0), at_input)
     points = _flat(canonical)
     deviation = float(np.abs(points[0] - points[1]).max())
-    relgap = min(g / t for report in reports for g, t in zip(report.eigengaps, report.gram_traces) if g is not None)
+    relgap = min(gap / trace for r in reports for gap, trace in zip(r.eigengaps, r.gram_traces) if gap is not None)
     verdict = "equivalent" if deviation <= roundoff * (1.0 + 1.0 / relgap) + rtol * nu else "distinct"
     return EquivalenceVerdict(verdict, Witness("canonical", None, math.ldexp(deviation, e)), at_input)
 
