@@ -1,11 +1,14 @@
 """Decide local-unitary equivalence of two states, with a witness per verdict.
 
-The decision pipeline is: global spectra (cheapest witness), then the
-polynomial invariant fingerprint, then the canonical forms, both on the
-pair scaled exactly to a coefficient norm in [0.5, 1) and under one
-roundoff budget. On a generic orbit the canonical point is a complete
-invariant, so it decides either way; on a non-generic one matching
-invariants yield ``inconclusive``. A verdict carries its witness and the
+The decision pipeline is: global spectra (cheapest witness), then the head
+of the polynomial invariant family (the members that contract no pair or
+triple component), then the canonical forms, all on the pair scaled exactly
+to a coefficient norm in [0.5, 1) and under one roundoff budget. On a
+generic orbit the canonical point is a complete invariant, so a generic
+pair's equivalence rests on it alone. The rest of the family is computed
+only for a non-generic pair or differing canonical points: it names the
+first differing member as the witness, and where none differs a
+non-generic pair is ``inconclusive``. A verdict carries its witness and the
 genericity reports, not a local unitary mapping one state to the other.
 
 ``oracle_search`` is an independent cross check, run only on request
@@ -27,7 +30,7 @@ from scipy.optimize import minimize
 from .bloch import PAULI, _expand, _flat, _split, _top
 from .canonical import GenericityReport, _canonical
 from .errors import ShapeMismatch, UnsupportedShape, ValidationError
-from .invariants import _fingerprint, _gram_mats, first_disagreement
+from .invariants import _gram_mats, _head, _rest3, first_disagreement
 from .local_action import LocalUnitary
 from .states import DensityMatrix, _rng
 from .tolerances import COMPARE_RTOL, IDENTICAL_TOL, ORACLE_GTOL, ROUNDOFF_FACTOR, SPECTRUM_TOL
@@ -80,15 +83,20 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
     its larger coefficient norm (an orbit invariant), in [0.5, 1). ``rtol``
     (finite, >= 0) is then relative to nu^k for a degree-k invariant and to
     nu for a canonical component, with ``ROUNDOFF_FACTOR``'s budget on top.
-    If both genericity reports (judged on the scaled pair) are generic, the
-    canonical deviation decides; otherwise matching invariants give
-    ``inconclusive``. Witness values and margins are at the input's scale.
+    The invariants that contract no pair or triple component come first (all
+    14 for n = 2, members 0-20 for n = 3); one that differs gives
+    ``distinct``. If both genericity reports (judged on the scaled pair) are
+    generic, a canonical deviation within the budget gives ``equivalent`` on
+    the canonical point alone. Otherwise members 21-74 (n = 3) name the first
+    differing invariant; failing that, the canonical deviation gives
+    ``distinct`` and a non-generic pair ``inconclusive``. Witness values and
+    margins are at the input's scale.
     """
     if not (math.isfinite(rtol) and rtol >= 0.0):
         raise ValidationError(f"comparison tolerance must be finite and >= 0, got {rtol!r}")
     n = _check_pair(rho1, rho2)
 
-    entry_scale = max(float(np.abs(rho1.matrix).max()), float(np.abs(rho2.matrix).max()))
+    entry_scale = max(rho1._max_abs, rho2._max_abs)
     ident_dev = float(np.abs(rho1.matrix - rho2.matrix).max())
     if ident_dev <= IDENTICAL_TOL * entry_scale:
         return EquivalenceVerdict("equivalent", Witness("identical", None, ident_dev))
@@ -110,22 +118,43 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
     roundoff = ROUNDOFF_FACTOR * sys.float_info.epsilon * max(nu, math.ldexp(top, -e))
     parts = _split(np.ldexp(coeffs, -e), n)
     g = _gram_mats(_top(parts))
-    family, (inv1, inv2) = _fingerprint(parts, g, n)
-    bad = first_disagreement(inv1, inv2, family.DEGREES, nu, rtol=rtol + roundoff / nu)
-    if bad is not None:
-        k = family.DEGREES[bad] * e
-        values = math.ldexp(inv1[bad], k), math.ldexp(inv2[bad], k)
-        return EquivalenceVerdict("distinct", Witness(family.NAMES[bad], values, abs(values[0] - values[1])))
+    family, head, power_vectors = _head(parts, g, n)
+    tol = rtol + roundoff / nu
+    verdict = _invariant_witness(family, head, nu, tol, e)
+    if verdict is not None:
+        return verdict
 
     canonical, _, reports = _canonical(parts, n, g)
     at_input = tuple(report._scaled(e) for report in reports)
-    if not (reports[0].generic and reports[1].generic):
+    generic = reports[0].generic and reports[1].generic
+    if generic:
+        points = _flat(canonical)
+        deviation = float(np.abs(points[0] - points[1]).max())
+        relgap = min(gap / trace for r in reports for gap, trace in zip(r.eigengaps, r.gram_traces) if gap is not None)
+        if deviation <= roundoff * (1.0 + 1.0 / relgap) + rtol * nu:
+            return EquivalenceVerdict("equivalent", Witness("canonical", None, math.ldexp(deviation, e)), at_input)
+    # Only now the members that contract pair and triple components (n = 3): they name the first
+    # differing member of a pair that is non-generic or whose canonical points differ.
+    if power_vectors is not None:
+        values = np.concatenate([head, _rest3(parts, power_vectors)], axis=1)
+        verdict = _invariant_witness(family, values, nu, tol, e)
+        if verdict is not None:
+            return verdict
+    if not generic:
         return EquivalenceVerdict("inconclusive", Witness("non-generic", None, 0.0), at_input)
-    points = _flat(canonical)
-    deviation = float(np.abs(points[0] - points[1]).max())
-    relgap = min(gap / trace for r in reports for gap, trace in zip(r.eigengaps, r.gram_traces) if gap is not None)
-    verdict = "equivalent" if deviation <= roundoff * (1.0 + 1.0 / relgap) + rtol * nu else "distinct"
-    return EquivalenceVerdict(verdict, Witness("canonical", None, math.ldexp(deviation, e)), at_input)
+    return EquivalenceVerdict("distinct", Witness("canonical", None, math.ldexp(deviation, e)), at_input)
+
+
+def _invariant_witness(family, values: np.ndarray, nu: float, tol: float, e: int) -> EquivalenceVerdict | None:
+    """``distinct`` with the first of the family's leading members, values (2, h) on the pair scaled by
+    2^-e, that differs beyond tol * nu^k; its values go back to the input's scale. None if none does."""
+    degrees = family.DEGREES[:values.shape[1]]
+    bad = first_disagreement(values[0], values[1], degrees, nu, rtol=tol)
+    if bad is None:
+        return None
+    k = degrees[bad] * e
+    pair = math.ldexp(values[0, bad], k), math.ldexp(values[1, bad], k)
+    return EquivalenceVerdict("distinct", Witness(family.NAMES[bad], pair, abs(pair[0] - pair[1])))
 
 
 @dataclass(frozen=True)

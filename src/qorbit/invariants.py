@@ -149,18 +149,29 @@ def _trace_powers(mats: np.ndarray) -> np.ndarray:
     return np.trace(np.array((mats, m2, m2 @ mats)), axis1=-2, axis2=-1)
 
 
-def _values3(parts: dict, g: np.ndarray) -> np.ndarray:
-    """The 75 three-qubit invariants (B, 75) of a batch, from its Gram stack (3, B, 3, 3): the
-    quadratics, pair and triple members are the components with site r's power vectors
-    (v_r, X_r v_r, X_r^2 v_r) contracted into each of its axes."""
+def _head3(parts: dict, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Three-qubit invariants 0-20 (B, 21) of a batch, from its Gram stack (3, B, 3, 3): the traces,
+    quadratics and sign fixers, which contract no pair or triple component. Also returns the
+    power vectors (v_r, X_r v_r, X_r^2 v_r) of each site r, site-major (3, B, 3, 3), for ``_rest3``."""
     pv = _power_vectors(g, _site_vectors(parts))
-    mixed = _flat(_rotate(parts, pv))
+    quadratics = _flat(_rotate({name: arr for name, arr in parts.items() if arr.ndim == 2}, pv))
     return np.concatenate([
-        _trace_powers(g).transpose(2, 1, 0).reshape(len(mixed), 9),
-        mixed[:, :9],
+        _trace_powers(g).transpose(2, 1, 0).reshape(len(quadratics), 9),
+        quadratics,
         _triple_product(pv).T,
-        mixed[:, 9:],
-    ], axis=1)
+    ], axis=1), pv
+
+
+def _rest3(parts: dict, pv: np.ndarray) -> np.ndarray:
+    """Members 21-74 (B, 54): the pair and triple components with each site's power vectors from
+    ``_head3`` contracted into its axes."""
+    return _flat(_rotate({name: arr for name, arr in parts.items() if arr.ndim > 2}, pv))
+
+
+def _values3(parts: dict, g: np.ndarray) -> np.ndarray:
+    """The 75 three-qubit invariants (B, 75) of a batch, from its Gram stack (3, B, 3, 3)."""
+    head, pv = _head3(parts, g)
+    return np.concatenate([head, _rest3(parts, pv)], axis=1)
 
 
 def _values2(parts: dict, g: np.ndarray) -> np.ndarray:
@@ -235,6 +246,13 @@ class InvariantSet2(_InvariantSet):
 def _fingerprint(parts: dict, g: np.ndarray, n: int):
     """The family ``decide`` compares and its values (B, len) for a batch with Gram stack g."""
     return (InvariantSet2, _values2(parts, g)) if n == 2 else (InvariantSet3, _values3(parts, g))
+
+
+def _head(parts: dict, g: np.ndarray, n: int):
+    """The family ``decide`` compares, the values (B, h) of its members that contract no pair or
+    triple component (all 14 for n = 2, members 0-20 for n = 3), and the power vectors
+    ``_rest3`` takes for the others (None for n = 2)."""
+    return (InvariantSet2, _values2(parts, g), None) if n == 2 else (InvariantSet3, *_head3(parts, g))
 
 
 @np.errstate(over="ignore", invalid="ignore")

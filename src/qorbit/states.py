@@ -100,6 +100,7 @@ class DensityMatrix:
     shape: SystemShape
     matrix: np.ndarray
     _spectrum: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _max_abs: float = field(init=False, repr=False, compare=False)  # max|m|, as validated
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -137,6 +138,7 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_spectrum", spectrum)
+        object.__setattr__(self, "_max_abs", scale)
 
     def eigenvalues(self) -> np.ndarray:
         """Global spectrum, sorted ascending and read-only; computed here once if validation did not."""

@@ -6,6 +6,7 @@ are pinned here and nowhere else.
 """
 
 import io
+import itertools
 import time
 from contextlib import contextmanager
 
@@ -249,3 +250,25 @@ def test_criterion_10_purity_identity(tmp_path):
         assert cli_run(["invariants", str(path)], out=out, err=err) == 0
         assert "factor of 2" in out.getvalue()
         rec["detail"] = f" (worst identity gap {worst:.1e} <= 1e-12)"
+
+
+def test_criterion_11_isospectral_pairs_separated_by_the_head():
+    """rho against V rho V^dag, V a random global unitary, also mixed toward I/D: the spectra
+    agree, so an invariant must separate the pair, and one of the members that contract no pair
+    or triple component (all 14 for n = 2, members 0-20 for n = 3) already does."""
+    with criterion(11, "2 x 4 x 20 isospectral pairs distinct by a head invariant") as rec:
+        head = {2: set(q.invariants.NAMES2), 3: set(q.invariants.NAMES3[:21])}
+        witnesses = set()
+        for n, p in itertools.product((2, 3), (1.0, 1e-2, 1e-3, 1e-4)):
+            shape = q.SystemShape((2,) * n)
+            d = 2**n
+            for seed in range(20):
+                rng = np.random.default_rng(110_000 + seed)
+                v, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+                rho = q.random_state(shape, seed=111_000 + seed).matrix
+                pair = ((1.0 - p) * np.eye(d) / d + p * m for m in (rho, v @ rho @ v.conj().T))
+                verdict = q.decide(*(q.DensityMatrix(shape, m) for m in pair))
+                assert verdict.verdict == "distinct", (n, p, seed)
+                assert verdict.witness.name in head[n], (n, p, seed, verdict.witness.name)
+                witnesses.add(verdict.witness.name)
+        rec["detail"] = f" (witnesses {', '.join(sorted(witnesses))})"

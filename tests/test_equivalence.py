@@ -1,12 +1,20 @@
+import functools
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qorbit as q
-from qorbit.bloch import PAULI
-from qorbit.equivalence import spectral_lower_bound
+from qorbit.bloch import PAULI, _expand, _flat, _split, _top
+from qorbit.canonical import _canonical
+from qorbit.equivalence import EquivalenceVerdict, Witness, spectral_lower_bound
 from qorbit.errors import ShapeMismatch, UnsupportedShape, ValidationError
+from qorbit.invariants import NAMES3, _fingerprint, _gram_mats, first_disagreement
+from qorbit.tolerances import COMPARE_RTOL, IDENTICAL_TOL, ROUNDOFF_FACTOR, SPECTRUM_TOL
 
 
 def on_orbit_pair(dims, state_seed, unitary_seed):
@@ -39,6 +47,15 @@ def pair_of_kind(kind, n, seed):
         return rho, q.DensityMatrix(shape, v @ rho.matrix @ v.conj().T)
     if kind == "mirror":
         return rho, q.DensityMatrix(shape, rho.matrix.conj())
+    if kind == "product":  # non-generic: rank-one top tensor
+        factors = (q.random_state(q.SystemShape((2,)), seed=seed + k).matrix for k in range(n))
+        rho = q.DensityMatrix(shape, functools.reduce(np.kron, factors))
+        return rho, q.apply(q.haar_local(shape, seed=seed + 1), rho)
+    if kind.startswith("rank-deficient"):
+        rho = q.random_state(shape, rank=1 + seed % (d - 1), seed=seed)
+        if kind.endswith("mirror"):
+            return rho, q.DensityMatrix(shape, rho.matrix.conj())
+        return rho, q.apply(q.haar_local(shape, seed=seed + 1), rho)
     return rho, q.random_state(shape, rank=1 + seed % d, seed=seed + 1)
 
 
@@ -55,7 +72,64 @@ def epsilon_pair(n, seed, eps):
     return rho, q.DensityMatrix(shape, u @ rho.matrix @ u.conj().T)
 
 
+def pair_block_perturbed(seed, delta):
+    """A full-rank 3-qubit state and the same state plus delta times a sum of the words
+    sigma_i x sigma_j x 1 chosen so that no eigenvalue moves to first order. Only the pair_12
+    block changes: the spectra agree to O(delta^2), members 0-20 (which read no pair block) to
+    roundoff, and the pair_12 members I12_rs by O(delta)."""
+    shape = q.SystemShape((2, 2, 2))
+    rho = q.random_state(shape, seed=seed)
+    words = [np.kron(np.kron(PAULI[i], PAULI[j]), np.eye(2)) for i in range(3) for j in range(3)]
+    _, vecs = np.linalg.eigh(rho.matrix)
+    # Row k: each word's first-order shift of eigenvalue k. 8 rows of rank 7 (the shifts sum to
+    # the trace, 0), so the last right singular vector is a null direction.
+    shifts = np.array([[np.vdot(v, w @ v).real for w in words] for v in vecs.T])
+    direction = np.linalg.svd(shifts)[2][-1]
+    return rho, q.DensityMatrix(shape, rho.matrix + delta * np.tensordot(direction, words, axes=1))
+
+
+def decide_ref(rho1, rho2, rtol=COMPARE_RTOL):
+    """``decide`` in the order it had before the canonical point came first: compare the whole
+    invariant family, then the canonical forms. Kept as the oracle of the payload bytes."""
+    n = rho1.shape.n
+    entry_scale = max(float(np.abs(rho1.matrix).max()), float(np.abs(rho2.matrix).max()))
+    ident_dev = float(np.abs(rho1.matrix - rho2.matrix).max())
+    if ident_dev <= IDENTICAL_TOL * entry_scale:
+        return EquivalenceVerdict("equivalent", Witness("identical", None, ident_dev))
+    spectra = rho1.eigenvalues(), rho2.eigenvalues()
+    spec_diff = float(np.abs(spectra[0] - spectra[1]).max())
+    if spec_diff > SPECTRUM_TOL:
+        return EquivalenceVerdict("distinct", Witness("spectrum", None, spec_diff))
+    coeffs = _expand(np.array((rho1.matrix, rho2.matrix)), n)
+    nu = max(math.hypot(*row) for row in coeffs.tolist())
+    if nu == 0.0:
+        return EquivalenceVerdict("equivalent", Witness("identical", None, ident_dev))
+    e = math.frexp(nu)[1]
+    nu = math.ldexp(nu, -e)
+    top = max(float(spectra[0][-1]), float(spectra[1][-1]))
+    roundoff = ROUNDOFF_FACTOR * sys.float_info.epsilon * max(nu, math.ldexp(top, -e))
+    parts = _split(np.ldexp(coeffs, -e), n)
+    g = _gram_mats(_top(parts))
+    family, (inv1, inv2) = _fingerprint(parts, g, n)
+    bad = first_disagreement(inv1, inv2, family.DEGREES, nu, rtol=rtol + roundoff / nu)
+    if bad is not None:
+        k = family.DEGREES[bad] * e
+        values = math.ldexp(inv1[bad], k), math.ldexp(inv2[bad], k)
+        return EquivalenceVerdict("distinct", Witness(family.NAMES[bad], values, abs(values[0] - values[1])))
+    canonical, _, reports = _canonical(parts, n, g)
+    at_input = tuple(report._scaled(e) for report in reports)
+    if not (reports[0].generic and reports[1].generic):
+        return EquivalenceVerdict("inconclusive", Witness("non-generic", None, 0.0), at_input)
+    points = _flat(canonical)
+    deviation = float(np.abs(points[0] - points[1]).max())
+    relgap = min(gap / trace for r in reports for gap, trace in zip(r.eigengaps, r.gram_traces) if gap is not None)
+    verdict = "equivalent" if deviation <= roundoff * (1.0 + 1.0 / relgap) + rtol * nu else "distinct"
+    return EquivalenceVerdict(verdict, Witness("canonical", None, math.ldexp(deviation, e)), at_input)
+
+
 PAIR_KINDS = ["on-orbit", "depolarized 0.3", "depolarized 0.01", "isospectral", "mirror", "random"]
+# Every kind decide_ref is held to, each well away from the rtol boundary.
+ORDER_KINDS = PAIR_KINDS + ["depolarized 0.0001", "rank-deficient", "rank-deficient mirror", "product"]
 
 
 class TestDecide:
@@ -208,6 +282,33 @@ class TestDecide:
         single = q.random_state(q.SystemShape((2,)), seed=19)
         with pytest.raises(UnsupportedShape):
             q.decide(single, single)
+
+
+class TestCanonicalFirstOrder:
+    """decide compares members 0-20 (n = 3), then the canonical points, and computes the pair and
+    triple members only where those points do not settle the pair; its payloads stay decide_ref's."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(ORDER_KINDS), st.sampled_from([2, 3]), st.integers(0, 10**6))
+    def test_payload_is_the_family_first_payload(self, kind, n, seed):
+        rho1, rho2 = pair_of_kind(kind, n, seed)
+        assert repr(q.decide(rho1, rho2).payload()) == repr(decide_ref(rho1, rho2).payload())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])
+    def test_epsilon_pair_reaches_the_rest_and_ends_canonical(self, seed):
+        """Members 0-20 agree, the canonical points differ, and so do no pair or triple members."""
+        rho1, rho2 = epsilon_pair(3, seed, 1e-7)
+        verdict = q.decide(rho1, rho2)
+        assert (verdict.verdict, verdict.witness.name) == ("distinct", "canonical")
+        assert repr(verdict.payload()) == repr(decide_ref(rho1, rho2).payload())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rest_member_witness_is_kept(self, seed):
+        rho1, rho2 = pair_block_perturbed(seed, 1e-7)
+        verdict = q.decide(rho1, rho2, rtol=0.0)
+        assert verdict.verdict == "distinct"
+        assert verdict.witness.name in NAMES3[21:]
+        assert repr(verdict.payload()) == repr(decide_ref(rho1, rho2, rtol=0.0).payload())
 
 
 class TestOracleSearch:

@@ -246,10 +246,16 @@ class TestSpectrum:
         assert (rho._spectrum is not None) == eager
         assert rho.eigenvalues() is rho._spectrum
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2,) * 7])
+    def test_max_abs_is_kept(self, dims):
+        rho = q.random_state(q.SystemShape(dims), seed=6)
+        assert rho._max_abs == float(np.abs(rho.matrix).max())
+
     def test_spectrum_outside_repr_and_equality(self):
         rho = q.maximally_mixed(QUBIT)
         assert "spectrum" not in repr(rho)
-        assert "_spectrum" not in {f.name for f in dataclasses.fields(rho) if f.compare}
+        assert "max_abs" not in repr(rho)
+        assert {"_spectrum", "_max_abs"}.isdisjoint(f.name for f in dataclasses.fields(rho) if f.compare)
 
 
 class TestStateFiles:
