@@ -151,13 +151,15 @@ def _trace_powers(mats: np.ndarray) -> np.ndarray:
 
 def _head3(parts: dict, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Three-qubit invariants 0-20 (B, 21) of a batch, from its Gram stack (3, B, 3, 3): the traces,
-    quadratics and sign fixers, which contract no pair or triple component. Also returns the
-    power vectors (v_r, X_r v_r, X_r^2 v_r) of each site r, site-major (3, B, 3, 3), for ``_rest3``."""
-    pv = _power_vectors(g, _site_vectors(parts))
-    quadratics = _flat(_rotate({name: arr for name, arr in parts.items() if arr.ndim == 2}, pv))
+    the quadratics (site r's power vectors (v_r, X_r v_r, X_r^2 v_r) applied to v_r) and the sign
+    fixers, which contract no pair or triple component. Also returns the power vectors, site-major
+    (3, B, 3, 3), for ``_rest3``."""
+    vecs = _site_vectors(parts)
+    pv = _power_vectors(g, vecs)
+    batch = vecs.shape[1]
     return np.concatenate([
-        _trace_powers(g).transpose(2, 1, 0).reshape(len(quadratics), 9),
-        quadratics,
+        _trace_powers(g).transpose(2, 1, 0).reshape(batch, 9),
+        _mv(pv, vecs).transpose(1, 0, 2).reshape(batch, 9),
         _triple_product(pv).T,
     ], axis=1), pv
 
