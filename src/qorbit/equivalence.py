@@ -5,10 +5,11 @@ of the polynomial invariant family (the members that contract no pair or
 triple component), then the canonical forms, all on the pair scaled exactly
 to a coefficient norm in [0.5, 1) and under one roundoff budget. On a
 generic orbit the canonical point is a complete invariant, so a generic
-pair's equivalence rests on it alone. The rest of the family is computed
-only for a non-generic pair or differing canonical points: it names the
-first differing member as the witness, and where none differs a
-non-generic pair is ``inconclusive``. A verdict carries its witness and the
+pair whose points agree within the tolerance and the input's rounding is
+equivalent on them alone. The rest of the family is computed only for a
+non-generic pair or points further apart, even within the eigenframe's
+roundoff: it names the first differing member as the witness, and where
+none differs a non-generic pair is ``inconclusive``. A verdict carries its witness and the
 genericity reports, not a local unitary mapping one state to the other.
 
 ``oracle_search`` is an independent cross check, run only on request
@@ -86,10 +87,12 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
     The invariants that contract no pair or triple component come first (all
     14 for n = 2, members 0-20 for n = 3); one that differs gives
     ``distinct``. If both genericity reports (judged on the scaled pair) are
-    generic, a canonical deviation within the budget gives ``equivalent`` on
-    the canonical point alone. Otherwise members 21-74 (n = 3) name the first
-    differing invariant; failing that, the canonical deviation gives
-    ``distinct`` and a non-generic pair ``inconclusive``. Witness values and
+    generic, a canonical deviation within rtol * nu plus the input's rounding
+    gives ``equivalent`` on the canonical point alone. Otherwise members 21-74
+    (n = 3) name the first differing invariant; failing that, a non-generic
+    pair is ``inconclusive`` and a generic one is ``equivalent`` within the
+    budget, which adds the eigenframe's roundoff (1/relgap), else
+    ``distinct``. Witness values and
     margins are at the input's scale.
     """
     if not (math.isfinite(rtol) and rtol >= 0.0):
@@ -130,31 +133,37 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
     if generic:
         points = _flat(canonical)
         deviation = float(np.abs(points[0] - points[1]).max())
-        relgap = min(gap / trace for r in reports for gap, trace in zip(r.eigengaps, r.gram_traces) if gap is not None)
-        if deviation <= roundoff * (1.0 + 1.0 / relgap) + rtol * nu:
+        # Inside rtol * nu plus the input's rounding the points leave no member beyond its own
+        # tolerance. The budget's 1/relgap term is the eigenframe's roundoff, which the members
+        # (frame-free) do not carry, so a deviation inside that term alone can hide a difference
+        # the members see: such a pair goes on to them.
+        if deviation <= roundoff + rtol * nu:
             return EquivalenceVerdict("equivalent", Witness("canonical", None, math.ldexp(deviation, e)), at_input)
-    # Only now the members that contract pair and triple components (n = 3): they name the first
-    # differing member of a pair that is non-generic or whose canonical points differ.
+    # Only now the members that contract pair and triple components (n = 3), as a head that agreed
+    # leaves the first differing member among them.
     if power_vectors is not None:
-        values = np.concatenate([head, _rest3(parts, power_vectors)], axis=1)
-        verdict = _invariant_witness(family, values, nu, tol, e)
+        verdict = _invariant_witness(family, _rest3(parts, power_vectors), nu, tol, e, start=head.shape[1])
         if verdict is not None:
             return verdict
     if not generic:
         return EquivalenceVerdict("inconclusive", Witness("non-generic", None, 0.0), at_input)
-    return EquivalenceVerdict("distinct", Witness("canonical", None, math.ldexp(deviation, e)), at_input)
+    relgap = min(gap / trace for r in reports for gap, trace in zip(r.eigengaps, r.gram_traces) if gap is not None)
+    verdict = "equivalent" if deviation <= roundoff * (1.0 + 1.0 / relgap) + rtol * nu else "distinct"
+    return EquivalenceVerdict(verdict, Witness("canonical", None, math.ldexp(deviation, e)), at_input)
 
 
-def _invariant_witness(family, values: np.ndarray, nu: float, tol: float, e: int) -> EquivalenceVerdict | None:
-    """``distinct`` with the first of the family's leading members, values (2, h) on the pair scaled by
-    2^-e, that differs beyond tol * nu^k; its values go back to the input's scale. None if none does."""
-    degrees = family.DEGREES[:values.shape[1]]
+def _invariant_witness(family, values: np.ndarray, nu: float, tol: float, e: int,
+                       start: int = 0) -> EquivalenceVerdict | None:
+    """``distinct`` with the first of the family's members start, start + 1, ..., values (2, h) on the
+    pair scaled by 2^-e, that differs beyond tol * nu^k; its values go back to the input's scale. None
+    if none does."""
+    degrees = family.DEGREES[start:start + values.shape[1]]
     bad = first_disagreement(values[0], values[1], degrees, nu, rtol=tol)
     if bad is None:
         return None
     k = degrees[bad] * e
     pair = math.ldexp(values[0, bad], k), math.ldexp(values[1, bad], k)
-    return EquivalenceVerdict("distinct", Witness(family.NAMES[bad], pair, abs(pair[0] - pair[1])))
+    return EquivalenceVerdict("distinct", Witness(family.NAMES[start + bad], pair, abs(pair[0] - pair[1])))
 
 
 @dataclass(frozen=True)

@@ -170,12 +170,6 @@ def _rest3(parts: dict, pv: np.ndarray) -> np.ndarray:
     return _flat(_rotate({name: arr for name, arr in parts.items() if arr.ndim > 2}, pv))
 
 
-def _values3(parts: dict, g: np.ndarray) -> np.ndarray:
-    """The 75 three-qubit invariants (B, 75) of a batch, from its Gram stack (3, B, 3, 3)."""
-    head, pv = _head3(parts, g)
-    return np.concatenate([head, _rest3(parts, pv)], axis=1)
-
-
 def _values2(parts: dict, g: np.ndarray) -> np.ndarray:
     """The fourteen two-qubit invariants (B, 14) of a batch, from its Gram stack (2, B, 3, 3)."""
     r, vecs = _top(parts), _site_vectors(parts)
@@ -245,16 +239,17 @@ class InvariantSet2(_InvariantSet):
         return self._payload(self.NAMES[:MINIMAL2] if minimal else self.NAMES)
 
 
-def _fingerprint(parts: dict, g: np.ndarray, n: int):
-    """The family ``decide`` compares and its values (B, len) for a batch with Gram stack g."""
-    return (InvariantSet2, _values2(parts, g)) if n == 2 else (InvariantSet3, _values3(parts, g))
-
-
 def _head(parts: dict, g: np.ndarray, n: int):
-    """The family ``decide`` compares, the values (B, h) of its members that contract no pair or
-    triple component (all 14 for n = 2, members 0-20 for n = 3), and the power vectors
+    """The family of a batch with Gram stack g, the values (B, h) of its members that contract no
+    pair or triple component (all 14 for n = 2, members 0-20 for n = 3), and the power vectors
     ``_rest3`` takes for the others (None for n = 2)."""
     return (InvariantSet2, _values2(parts, g), None) if n == 2 else (InvariantSet3, *_head3(parts, g))
+
+
+def _fingerprint(parts: dict, g: np.ndarray, n: int):
+    """The family of a batch with Gram stack g and its values (B, len): the head, then the rest."""
+    family, head, pv = _head(parts, g, n)
+    return family, head if pv is None else np.concatenate([head, _rest3(parts, pv)], axis=1)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -72,20 +72,31 @@ def epsilon_pair(n, seed, eps):
     return rho, q.DensityMatrix(shape, u @ rho.matrix @ u.conj().T)
 
 
-def pair_block_perturbed(seed, delta):
-    """A full-rank 3-qubit state and the same state plus delta times a sum of the words
-    sigma_i x sigma_j x 1 chosen so that no eigenvalue moves to first order. Only the pair_12
-    block changes: the spectra agree to O(delta^2), members 0-20 (which read no pair block) to
-    roundoff, and the pair_12 members I12_rs by O(delta)."""
-    shape = q.SystemShape((2, 2, 2))
-    rho = q.random_state(shape, seed=seed)
+def near_degenerate_triple(seed, relgap):
+    """A generic 3-qubit state whose site-1 Gram matrix has its top two eigenvalues relgap times its
+    trace apart: the triple block's site-1 singular values are set so, and every Bloch component is
+    halved so that the state stays positive definite."""
+    t = q.expand(q.random_state(q.SystemShape((2, 2, 2)), seed=seed))
+    u, s, vt = np.linalg.svd(t.triple.reshape(3, 9), full_matrices=False)
+    squares = s**2
+    squares[1] = squares[0] - relgap * squares.sum()
+    components = {name: 0.5 * value for name, value in t.component_items()}
+    components["triple"] = 0.5 * ((u * np.sqrt(squares)) @ vt).reshape(3, 3, 3)
+    return q.reconstruct(q.BlochTensor(n=3, **components))
+
+
+def pair_block_perturbed(rho, delta):
+    """rho plus delta times a sum of the words sigma_i x sigma_j x 1 chosen so that no eigenvalue
+    moves to first order. Only the pair_12 block changes: the spectra agree to O(delta^2), members
+    0-20 (which read no pair block) and the Gram matrices to roundoff, and the pair_12 members I12_rs
+    and the canonical point by O(delta)."""
     words = [np.kron(np.kron(PAULI[i], PAULI[j]), np.eye(2)) for i in range(3) for j in range(3)]
     _, vecs = np.linalg.eigh(rho.matrix)
     # Row k: each word's first-order shift of eigenvalue k. 8 rows of rank 7 (the shifts sum to
     # the trace, 0), so the last right singular vector is a null direction.
     shifts = np.array([[np.vdot(v, w @ v).real for w in words] for v in vecs.T])
     direction = np.linalg.svd(shifts)[2][-1]
-    return rho, q.DensityMatrix(shape, rho.matrix + delta * np.tensordot(direction, words, axes=1))
+    return q.DensityMatrix(rho.shape, rho.matrix + delta * np.tensordot(direction, words, axes=1))
 
 
 def decide_ref(rho1, rho2, rtol=COMPARE_RTOL):
@@ -304,11 +315,27 @@ class TestCanonicalFirstOrder:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_rest_member_witness_is_kept(self, seed):
-        rho1, rho2 = pair_block_perturbed(seed, 1e-7)
+        rho1 = q.random_state(q.SystemShape((2, 2, 2)), seed=seed)
+        rho2 = pair_block_perturbed(rho1, 1e-7)
         verdict = q.decide(rho1, rho2, rtol=0.0)
         assert verdict.verdict == "distinct"
         assert verdict.witness.name in NAMES3[21:]
         assert repr(verdict.payload()) == repr(decide_ref(rho1, rho2, rtol=0.0).payload())
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 4])
+    @pytest.mark.parametrize("delta", [1e-9, 1e-8])
+    def test_near_degenerate_gram_does_not_hide_a_rest_member(self, seed, delta):
+        """At relgap 1e-7 the canonical budget's 1/relgap term spans about 1e-7 * nu even at rtol 0,
+        so the pair_12 perturbation moves the canonical point well inside it; the members see it."""
+        rho1 = near_degenerate_triple(seed, 1e-7)
+        report = q.genericity(q.expand(rho1))
+        assert report.generic and report.eigengaps[0] < 1e-6 * report.gram_traces[0]
+        rho2 = pair_block_perturbed(rho1, delta)
+        verdict = q.decide(rho1, rho2, rtol=0.0)
+        assert verdict.verdict == "distinct"
+        assert verdict.witness.name in NAMES3[21:]
+        for rtol in (0.0, COMPARE_RTOL):
+            assert repr(q.decide(rho1, rho2, rtol=rtol).payload()) == repr(decide_ref(rho1, rho2, rtol=rtol).payload())
 
 
 class TestOracleSearch:

@@ -52,7 +52,7 @@ from qorbit.canonical import (
 from qorbit.errors import (
     ConstraintViolation, NotSpecialOrthogonal, NumericalError, ShapeMismatch, ToolkitError, ValidationError,
 )
-from qorbit.invariants import _eigen, _fingerprint, _gram_mats, _head, _power_vectors, _rest3, _triple_product
+from qorbit.invariants import _eigen, _fingerprint, _gram_mats, _head, _power_vectors, _triple_product
 from qorbit.local_action import (
     LIFT_BRANCH_TOL, SPECIAL_TOL, UNITARITY_TOL, RotationTriple, _check_rotations, transform_bloch,
 )
@@ -1194,11 +1194,10 @@ class TestPairBatch:
         if g is None:
             g = _gram_mats(parts["triple"] if n == 3 else parts["pair_12"])
         _, values = _fingerprint(parts, g, n)
-        # decide's head and rest: the family bit for bit, split after member 20 of n = 3.
-        _, head, power_vectors = _head(parts, g, n)
-        assert head.shape == (2, 14 if n == 2 else 21)
-        rest = np.empty((2, 0)) if power_vectors is None else _rest3(parts, power_vectors)
-        assert same_bits(np.concatenate([head, rest], axis=1), values)
+        # decide compares the head (members 0-20 of n = 3, all 14 of n = 2) first; _fingerprint
+        # appends the rest to it, so fingerprint_head below pins both.
+        _, head, _ = _head(parts, g, n)
+        assert head.shape == (2, 14 if n == 2 else 21) and same_bits(head, values[:, :head.shape[1]])
         mats = np.array([[rotation(7 * b + k, 1e-13, b == 1) for b in range(2)] for k in range(n)])
         rotated = _flat(_rotate(parts, mats))
         for b, t in enumerate(tensors_):
