@@ -76,14 +76,6 @@ class GenericityReport:
             "generic": bool(self.generic),
         }
 
-    def _scaled(self, e: int) -> GenericityReport:
-        """The margins of the tensor scaled by 2^e, exactly: each of degree k times 2^(ke), 2 for
-        gaps and traces, 1 for components, 9 for sign invariants. ``generic`` stays as judged."""
-        def scaled(values, k):
-            return tuple([None if v is None else math.ldexp(v, k) for v in values])
-        return GenericityReport(self.n, scaled(self.eigengaps, 2 * e), scaled(self.gram_traces, 2 * e),
-                                scaled(self.min_components, e), scaled(self.sign_invariants, 9 * e), self.generic)
-
 
 @dataclass(frozen=True)
 class CanonicalPoint:
@@ -94,8 +86,9 @@ class CanonicalPoint:
     report: GenericityReport
 
 
-# The margins of a site, in the order _reports checks them for finiteness.
+# The margins of a site, in the order _reports checks them for finiteness, and their degrees.
 _MARGINS = ("eigengap", "Gram trace", "smallest component", "sign invariant")
+_DEGREES = (2, 2, 1, 9)
 
 
 def _gap_and_trace(s0: float, s1: float, s2: float) -> tuple[float, float]:
@@ -104,10 +97,12 @@ def _gap_and_trace(s0: float, s1: float, s2: float) -> tuple[float, float]:
     return min(s0 - s1, s1 - s2), 0.0 + s0 + s1 + s2
 
 
-def _reports(spectra: np.ndarray, vecs: np.ndarray) -> tuple[GenericityReport, ...]:
-    """One report per batch member from site-major Gram spectra (n, B, 3) and site
-    vectors in eigenframe gauge (n, B, 3); the first margin of the first member that
-    is not finite (a degree-9 sign invariant or a trace out of float range) raises."""
+def _reports(spectra: np.ndarray, vecs: np.ndarray, e: int = 0) -> tuple[GenericityReport, ...]:
+    """One report per batch member from site-major Gram spectra (n, B, 3) and site vectors in
+    eigenframe gauge (n, B, 3) of the tensors scaled by 2^-e. ``generic`` and finiteness are judged
+    on these margins, and each is stored times 2^(ke), exactly: k = 2 for gaps and traces, 1 for
+    components, 9 for sign invariants. The first margin of the first member that is not finite (a
+    degree-9 sign invariant or a trace out of float range) raises."""
     n = len(spectra)
     # The sign invariant of v under diag(s), with diag(s) v taken as s * v: the
     # matrix product only adds exact zeros, which can change the sign of a zero
@@ -116,28 +111,18 @@ def _reports(spectra: np.ndarray, vecs: np.ndarray) -> tuple[GenericityReport, .
         signs = np.abs(_triple_product(np.stack((vecs, spectra * vecs, spectra * (spectra * vecs)), axis=-2)))
     reports = []
     for member in zip(spectra.swapaxes(0, 1).tolist(), vecs.swapaxes(0, 1).tolist(), signs.T.tolist()):
-        gaps, traces, mins = [None] * 3, [None] * 3, [None] * 3
+        margins = [[None] * 3 for _ in _MARGINS]
         generic = True
         for site, (spectrum, vec, sign) in enumerate(zip(*member)):
-            gaps[site], traces[site] = _gap_and_trace(*spectrum)
-            mins[site] = min(map(abs, vec))
-            margins = gaps[site], traces[site], mins[site], sign
-            if not all(map(math.isfinite, margins)):
-                name = next(name for name, margin in zip(_MARGINS, margins) if not math.isfinite(margin))
+            site_margins = (*_gap_and_trace(*spectrum), min(map(abs, vec)), sign)
+            if not all(map(math.isfinite, site_margins)):
+                name = next(name for name, margin in zip(_MARGINS, site_margins) if not math.isfinite(margin))
                 raise NumericalError(f"site {site + 1} {name} is not finite: the tensor's scale overflows it")
-            generic = generic and (
-                gaps[site] > EIGENGAP_RTOL * traces[site]
-                and mins[site] > COMPONENT_TOL
-                and sign > SIGN_INVARIANT_TOL
-            )
-        reports.append(GenericityReport(
-            n=n,
-            eigengaps=tuple(gaps),
-            gram_traces=tuple(traces),
-            min_components=tuple(mins),
-            sign_invariants=tuple(member[2]) + (None,) * (3 - n),
-            generic=generic,
-        ))
+            gap, trace, least, _ = site_margins
+            generic = generic and gap > EIGENGAP_RTOL * trace and least > COMPONENT_TOL and sign > SIGN_INVARIANT_TOL
+            for values, margin, k in zip(margins, site_margins, _DEGREES):
+                values[site] = math.ldexp(margin, k * e)
+        reports.append(GenericityReport(n, *map(tuple, margins), generic))
     return tuple(reports)
 
 
@@ -192,8 +177,8 @@ def _canonical3(parts: dict, g: np.ndarray):
     Diagonalizes the three Gram matrices by per-site special orthogonal
     eigenframes (eigenvalues decreasing), then applies the per-site Klein
     element that makes alpha, beta, gamma each uniform in sign. Returns
-    the canonical components, the site-major gauge (3, B, 3, 3) and one
-    report per member; raises the first failing member's error.
+    the canonical components, the site-major gauge (3, B, 3, 3) and the Gram
+    spectra (3, B, 3) for ``_reports``; raises the first failing member's error.
     """
     spectra, frames = _eigen(g)
     to_frame = frames.swapaxes(-1, -2)
@@ -201,8 +186,7 @@ def _canonical3(parts: dict, g: np.ndarray):
     # One composed transform, so replaying the gauge reproduces the
     # canonical tensor bit for bit.
     gauge = klein.reshape(g.shape) @ to_frame
-    canonical = _rotate(parts, gauge)
-    return canonical, gauge, _reports(spectra, _site_vectors(canonical))
+    return _rotate(parts, gauge), gauge, spectra
 
 
 def _canonical2(parts: dict):
@@ -230,8 +214,7 @@ def _canonical2(parts: dict):
     ])
     gauge = np.array((_KLEIN_STACK[best // 4] @ r1, _KLEIN_STACK[best % 4] @ r2))
     canonical = _rotate(parts, gauge)
-    spectra, _ = _eigen(_gram_mats(_top(canonical)))
-    return canonical, gauge, _reports(spectra, _site_vectors(canonical))
+    return canonical, gauge, _eigen(_gram_mats(_top(canonical)))[0]
 
 
 def _last_sign(f: np.ndarray) -> np.ndarray:
@@ -250,9 +233,10 @@ def _canonical(parts: dict, n: int, g: np.ndarray | None = None):
 
 
 def _point(t: BlochTensor) -> CanonicalPoint:
-    canonical, gauge, reports = _canonical(_parts(t), t.n)
+    canonical, gauge, spectra = _canonical(_parts(t), t.n)
+    report = _reports(spectra, _site_vectors(canonical))[0]
     return CanonicalPoint(tensor=_tensor(canonical, t.n, 0), gauge=RotationTriple(tuple(gauge[:, 0])),
-                          report=reports[0])
+                          report=report)
 
 
 def canonicalize3(t: BlochTensor) -> CanonicalPoint:

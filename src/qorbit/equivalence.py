@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .bloch import PAULI, _expand, _flat, _split, _top
-from .canonical import GenericityReport, _canonical
+from .bloch import PAULI, _expand, _flat, _site_vectors, _split, _top
+from .canonical import GenericityReport, _canonical, _gap_and_trace, _reports
 from .errors import ShapeMismatch, UnsupportedShape, ValidationError
 from .invariants import _gram_mats, _head, _rest3, first_disagreement
 from .local_action import LocalUnitary
@@ -127,8 +127,8 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
     if verdict is not None:
         return verdict
 
-    canonical, _, reports = _canonical(parts, n, g)
-    at_input = tuple(report._scaled(e) for report in reports)
+    canonical, _, gram_spectra = _canonical(parts, n, g)
+    reports = _reports(gram_spectra, _site_vectors(canonical), e)
     generic = reports[0].generic and reports[1].generic
     if generic:
         points = _flat(canonical)
@@ -138,7 +138,7 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
         # (frame-free) do not carry, so a deviation inside that term alone can hide a difference
         # the members see: such a pair goes on to them.
         if deviation <= roundoff + rtol * nu:
-            return EquivalenceVerdict("equivalent", Witness("canonical", None, math.ldexp(deviation, e)), at_input)
+            return EquivalenceVerdict("equivalent", Witness("canonical", None, math.ldexp(deviation, e)), reports)
     # Only now the members that contract pair and triple components (n = 3), as a head that agreed
     # leaves the first differing member among them.
     if power_vectors is not None:
@@ -146,10 +146,10 @@ def decide(rho1: DensityMatrix, rho2: DensityMatrix,
         if verdict is not None:
             return verdict
     if not generic:
-        return EquivalenceVerdict("inconclusive", Witness("non-generic", None, 0.0), at_input)
-    relgap = min(gap / trace for r in reports for gap, trace in zip(r.eigengaps, r.gram_traces) if gap is not None)
+        return EquivalenceVerdict("inconclusive", Witness("non-generic", None, 0.0), reports)
+    relgap = min(operator.truediv(*_gap_and_trace(*s)) for s in gram_spectra.reshape(-1, 3).tolist())
     verdict = "equivalent" if deviation <= roundoff * (1.0 + 1.0 / relgap) + rtol * nu else "distinct"
-    return EquivalenceVerdict(verdict, Witness("canonical", None, math.ldexp(deviation, e)), at_input)
+    return EquivalenceVerdict(verdict, Witness("canonical", None, math.ldexp(deviation, e)), reports)
 
 
 def _invariant_witness(family, values: np.ndarray, nu: float, tol: float, e: int,
@@ -202,7 +202,8 @@ def oracle_search(
     special unitaries using BFGS with finite-difference gradients; the
     identity is always the first start, the rest are seeded uniform angle
     draws. A large residual is a result, not an error. ``restarts`` must be
-    at least 1.
+    at least 1, and ``stop_residual``, when given, >= 0 (the search stops at
+    the first restart whose best residual is within it).
     """
     try:
         restarts = operator.index(restarts)
@@ -210,6 +211,8 @@ def oracle_search(
         raise ValidationError(f"oracle restarts must be an integer, got {restarts!r}") from None
     if restarts < 1:
         raise ValidationError(f"oracle needs at least one restart, got {restarts}")
+    if stop_residual is not None and not stop_residual >= 0.0:
+        raise ValidationError(f"oracle stop residual must be >= 0, got {stop_residual!r}")
     n = _check_pair(rho1, rho2)
     m1 = rho1.matrix
     m2 = rho2.matrix

@@ -333,8 +333,9 @@ def first_disagreement(
     families mix polynomial degrees 2 to 16 and a flat relative test would
     over- or under-weigh the extremes.
     Both vectors must hold one value per degree, else ``ShapeMismatch``.
-    ``scale`` must be finite and positive (``ValidationError``); one whose
-    degree-k power overflows raises ``NumericalError``.
+    ``scale`` must be finite and positive and ``rtol`` finite and >= 0
+    (``ValidationError``); a scale whose degree-k power overflows raises
+    ``NumericalError``.
     """
     values_a, values_b = np.asarray(values_a), np.asarray(values_b)
     if not values_a.shape == values_b.shape == (len(degrees),):
@@ -343,6 +344,8 @@ def first_disagreement(
     scale = float(scale)
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValidationError(f"coefficient scale must be finite and positive, got {scale!r}")
+    if not (math.isfinite(rtol) and rtol >= 0.0):
+        raise ValidationError(f"comparison tolerance must be finite and >= 0, got {rtol!r}")
     distinct, index = _degree_index(tuple(degrees))
     diffs = np.abs(values_a - values_b)
     # One tolerance per distinct degree, with Python's ** (numpy's power may round differently).

@@ -9,8 +9,9 @@ equals prod(d_r^2) - sum(d_r^2) + n - 1 at generic states.
 
 No D x D embedded generator is formed: a site generator t acts on rho
 through the site's index, rows for h.rho and columns for rho.h, by one real
-gather per row of t (``_commutators``). ``tangent_frame`` writes each
-commutator straight into the preallocated frame. The singular values come
+gather per row of t (``_commutators``, one real-linear map of the commutator
+per pass). ``tangent_frame`` runs it once for the real part and once for the
+imaginary part, straight into the preallocated frame. The singular values come
 from a tall-skinny QR of the transposed frame, one column block at a time,
 followed by the SVD of the small triangular factor; the frame's Gram matrix
 is never formed, since its eigenvalues would square the rank threshold
@@ -135,14 +136,14 @@ def _stream_rows(dims: tuple[int, ...]) -> int:
 
 
 def _folded(z: np.ndarray) -> np.ndarray:
-    """(L(z), L(-i z)), a stack of one map each, for L(z) = Re z - Im z: i[h, rho] folded to Re + Im."""
-    return np.stack((z.real - z.imag, z.real + z.imag))[:, None]
+    """(L(z), L(-i z)) for L(z) = Re z - Im z: i[h, rho] folded to Re + Im."""
+    return np.stack((z.real - z.imag, z.real + z.imag))
 
 
 def _commutators(m: np.ndarray, dims: tuple[int, ...], start: int, stop: int,
                  sources: Callable[[np.ndarray], np.ndarray], dst: np.ndarray) -> None:
-    """dst[g, j] = rows [start, stop) of L_j(h.rho) - L_j(rho.h) for each site generator h, site-major,
-    for real-linear maps L_j given by sources(z) = (A, B), A[j] = L_j(z) and B[j] = L_j(-i z).
+    """dst[g] = rows [start, stop) of L(h.rho) - L(rho.h) for each site generator h, site-major, for
+    the real-linear map L given by sources(z) = (A, B), A = L(z) and B = L(-i z); one map per pass.
 
     Row p of h.rho is t[p, q] rho[q], so that of L(h.rho) is w A[q] or w B[q] (see ``_rows``): one
     real gather per row of t, and per row of t^T for the columns of rho.h. The row count must be
@@ -151,23 +152,22 @@ def _commutators(m: np.ndarray, dims: tuple[int, ...], start: int, stop: int,
     (before, p) slab of it, whose row of h.rho reads the sources of the site's d slabs of rho.
     """
     d_total, n_rows = m.shape[0], stop - start
-    block = sources(m[start:stop])
-    parts, scratch = block.shape[1], np.empty(dst.shape[1:])
+    block, scratch = sources(m[start:stop]), np.empty(dst.shape[1:])
     g = 0
     for site, d in enumerate(dims):
         before = math.prod(dims[:site])
         after = math.prod(dims[site + 1:])
         # h = 1_before x t x 1_after acts on the site's row index of rho in
         # h.rho and, through t^T, on its column index in rho.h.
-        cols = (parts * n_rows * before, d, after)
+        cols = (n_rows * before, d, after)
         if n_rows % (d * after) == 0:
-            rows = (parts * n_rows // (d * after), d, after * d_total)
+            rows = (n_rows // (d * after), d, after * d_total)
             src, p = block.reshape((2,) + rows), slice(None)
         else:
             x, offset = divmod(start, d * after)
             q, a = divmod(offset, after)
-            src = sources(m.reshape(before, d, after * d_total)[x, :, a * d_total:(a + n_rows) * d_total])
-            rows, p = (parts, 1, n_rows * d_total), slice(q, q + 1)
+            src = sources(m.reshape(before, d, after * d_total)[x, :, a * d_total:(a + n_rows) * d_total])[:, None]
+            rows, p = (1, 1, n_rows * d_total), slice(q, q + 1)
         for rows_t, rows_tt in _row_table(d):
             _gather(rows_t[p], src, dst[g].reshape(rows))
             _gather(rows_tt, block.reshape((2,) + cols), scratch.reshape(cols))
@@ -182,8 +182,8 @@ def tangent_frame(rho: DensityMatrix) -> TangentFrame:
     k = sum(d * d - 1 for d in rho.shape.dims)
     out = np.empty((k, 2, d_total * d_total))
     # i(h.rho - rho.h): real part L(h.rho) - L(rho.h) for L(z) = -Im z, imaginary part for L(z) = Re z.
-    _commutators(rho.matrix, rho.shape.dims, 0, d_total,
-                 lambda z: np.stack((-z.imag, z.real, z.real, z.imag)).reshape((2, 2) + z.shape), out)
+    _commutators(rho.matrix, rho.shape.dims, 0, d_total, lambda z: np.stack((-z.imag, z.real)), out[:, 0])
+    _commutators(rho.matrix, rho.shape.dims, 0, d_total, lambda z: np.stack((z.real, z.imag)), out[:, 1])
     vectors = out.reshape(k, 2 * d_total * d_total)
     vectors.setflags(write=False)
     return TangentFrame(base=rho, vectors=vectors)

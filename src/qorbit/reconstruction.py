@@ -42,12 +42,13 @@ _ROOT_PHASES = 2.0 * np.pi * _POWERS / 3.0
 _IDENTITY = RotationTriple.identity(3)
 
 
-def _three(name: str, values) -> np.ndarray:
-    """values as a float array of one finite entry per Bloch axis, else ShapeMismatch or ValidationError."""
+def _three(name: str, values, axes: int = 1) -> np.ndarray:
+    """values as a float array of finite entries, one per Bloch axis on each of its axes (3, 3x3 or
+    3x3x3), else ShapeMismatch or ValidationError."""
     a = np.asarray(values, dtype=float)
-    if a.shape != (3,):
-        raise ShapeMismatch(f"{name} must have 3 entries, got shape {a.shape}")
-    if not all(map(math.isfinite, a.tolist())):
+    if a.shape != (3,) * axes:
+        raise ShapeMismatch(f"{name} must have {'x'.join('3' * axes)} entries, got shape {a.shape}")
+    if not all(map(math.isfinite, a.ravel().tolist())):
         raise ValidationError(f"{name} has a non-finite entry")
     return a
 
@@ -201,15 +202,18 @@ def _check_diagonal(g: np.ndarray) -> None:
 
 
 def pair_from_mixed(mixed, row_spectrum, row_vector, col_spectrum, col_vector) -> np.ndarray:
-    """Canonical pair matrix from its nine mixed invariants: two 3x3 factors, not a 9x9 solve."""
+    """Canonical pair matrix from its 3x3 block of mixed invariants: two 3x3 factors, not a 9x9 solve."""
+    mixed = _three("mixed block", mixed, 2)
     factors = np.array((_inverse_factor(row_spectrum, row_vector), _inverse_factor(col_spectrum, col_vector)))
-    return _contract(np.asarray(mixed, dtype=float).reshape(1, 3, 3), factors[:, None], (0, 1))[0]
+    return _contract(mixed[None], factors[:, None], (0, 1))[0]
 
 
 def triple_from_mixed(mixed, spectra, vectors) -> np.ndarray:
-    """Canonical triple tensor from its 27 mixed invariants, checked for diagonal Gram matrices."""
+    """Canonical triple tensor from its 3x3x3 block of mixed invariants, checked for diagonal Gram
+    matrices."""
+    mixed = _three("mixed block", mixed, 3)
     factors = np.array([_inverse_factor(sp, vec) for sp, vec in zip(spectra, vectors)])
-    q = _contract(np.asarray(mixed, dtype=float).reshape(1, 3, 3, 3), factors[:, None], (0, 1, 2))
+    q = _contract(mixed[None], factors[:, None], (0, 1, 2))
     _check_diagonal(_gram_mats(q))
     return q[0]
 

@@ -109,7 +109,7 @@ class DensityMatrix:
             raise ShapeMismatch(
                 f"matrix is {m.shape}, shape {self.shape} requires ({d}, {d})"
             )
-        scale = float(np.abs(m).max()) if m.size else 0.0
+        scale = float(np.abs(m).max())
         if not math.isfinite(scale):
             raise ValidationError("matrix has a non-finite entry")
         b = _HERMITICITY_BLOCK  # row blocks of the upper triangle: |m_ij - conj m_ji| is symmetric in (i, j)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qorbit as q
-from qorbit.bloch import PAULI, _expand, _flat, _split, _top
-from qorbit.canonical import _canonical
+from qorbit.bloch import PAULI, _expand, _flat, _site_vectors, _split, _top
+from qorbit.canonical import _canonical, _reports
 from qorbit.equivalence import EquivalenceVerdict, Witness, spectral_lower_bound
 from qorbit.errors import ShapeMismatch, UnsupportedShape, ValidationError
 from qorbit.invariants import NAMES3, _fingerprint, _gram_mats, first_disagreement
@@ -127,8 +127,9 @@ def decide_ref(rho1, rho2, rtol=COMPARE_RTOL):
         k = family.DEGREES[bad] * e
         values = math.ldexp(inv1[bad], k), math.ldexp(inv2[bad], k)
         return EquivalenceVerdict("distinct", Witness(family.NAMES[bad], values, abs(values[0] - values[1])))
-    canonical, _, reports = _canonical(parts, n, g)
-    at_input = tuple(report._scaled(e) for report in reports)
+    canonical, _, gram_spectra = _canonical(parts, n, g)
+    reports = _reports(gram_spectra, _site_vectors(canonical))
+    at_input = _reports(gram_spectra, _site_vectors(canonical), e)
     if not (reports[0].generic and reports[1].generic):
         return EquivalenceVerdict("inconclusive", Witness("non-generic", None, 0.0), at_input)
     points = _flat(canonical)
@@ -355,6 +356,12 @@ class TestOracleSearch:
         rho = q.random_state(q.SystemShape((2, 2)), seed=20)
         with pytest.raises(q.ValidationError, match="must be an integer"):
             q.oracle_search(rho, rho, restarts=restarts)
+
+    @pytest.mark.parametrize("stop_residual", [-1.0, -math.inf, math.nan, -5e-324])
+    def test_negative_or_nan_stop_residual_refused(self, stop_residual):
+        rho = q.random_state(q.SystemShape((2, 2)), seed=20)
+        with pytest.raises(q.ValidationError, match="stop residual must be >= 0"):
+            q.oracle_search(rho, rho, restarts=2, stop_residual=stop_residual)
 
     @pytest.mark.parametrize("seed", [-1, 2.5, "3", None, np.float64(3)])
     def test_bad_seed_refused(self, seed):

@@ -237,6 +237,11 @@ class TestFirstDisagreementScale:
         with pytest.raises(NumericalError, match="overflows at degree 16"):
             first_disagreement(np.zeros(75), np.ones(75), DEGREES3, scale)
 
+    @pytest.mark.parametrize("rtol", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_rtol_not_finite_and_non_negative_is_refused(self, rtol):
+        with pytest.raises(ValidationError, match="comparison tolerance must be finite and >= 0"):
+            first_disagreement(np.ones(75), np.ones(75), DEGREES3, 1.0, rtol=rtol)
+
     def test_scale_with_powers_in_range_is_accepted(self):
         # 1e19 ** 16 = 1e304 is finite; tolerances from rtol * 1e38 up absorb every difference.
         assert first_disagreement(np.zeros(75), np.ones(75), DEGREES3, 1e19) is None

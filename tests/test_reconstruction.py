@@ -143,6 +143,20 @@ class TestPairFromMixed:
         with pytest.raises(ValidationError, match="non-finite entry"):
             q.pair_from_mixed(np.eye(3), *args)
 
+    @pytest.mark.parametrize("shape", [(9,), (3, 4), (2, 3), (3, 3, 3)])
+    def test_misshapen_block_is_shape_mismatch(self, shape):
+        args = [np.array([3.0, 2.0, 1.0]), np.array([0.5, 0.4, 0.3])] * 2
+        with pytest.raises(ShapeMismatch, match=r"mixed block must have 3x3 entries, got shape"):
+            q.pair_from_mixed(np.ones(shape), *args)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_rejected(self, bad):
+        args = [np.array([3.0, 2.0, 1.0]), np.array([0.5, 0.4, 0.3])] * 2
+        block = np.eye(3)
+        block[1, 2] = bad
+        with pytest.raises(ValidationError, match="mixed block has a non-finite entry"):
+            q.pair_from_mixed(block, *args)
+
     @pytest.mark.parametrize("seed", [7, 8])
     def test_round_trip(self, seed):
         _, point, inv = canonical_and_invariants(seed)
@@ -166,6 +180,22 @@ class TestTripleFromMixed:
             (point.tensor.alpha, point.tensor.beta, point.tensor.gamma),
         )
         assert np.max(np.abs(out - point.tensor.triple)) <= 1e-5
+
+    @pytest.mark.parametrize("shape", [(27,), (3, 3), (3, 3, 2), (3, 9)])
+    def test_misshapen_block_is_shape_mismatch(self, shape):
+        _, point, _ = canonical_and_invariants(11)
+        vectors = (point.tensor.alpha, point.tensor.beta, point.tensor.gamma)
+        with pytest.raises(ShapeMismatch, match=r"mixed block must have 3x3x3 entries, got shape"):
+            q.triple_from_mixed(np.ones(shape), q.gram(point.tensor).spectra, vectors)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_rejected(self, bad):
+        _, point, inv = canonical_and_invariants(11)
+        vectors = (point.tensor.alpha, point.tensor.beta, point.tensor.gamma)
+        block = inv.triple_family().copy()
+        block[0, 1, 2] = bad
+        with pytest.raises(ValidationError, match="mixed block has a non-finite entry"):
+            q.triple_from_mixed(block, q.gram(point.tensor).spectra, vectors)
 
     def test_perturbed_invariants_violate_diagonality(self):
         _, point, inv = canonical_and_invariants(11)

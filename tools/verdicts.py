@@ -13,6 +13,12 @@ contradict the kind (``distinct`` for an on-orbit, depolarized or
 identical pair, ``equivalent`` for the others), ``inconclusive`` the
 undecided pairs.
 
+``genericity`` counts, over the same pairs, the genericity reports that
+``decide`` returns and those among them whose ``generic`` differs from
+that of ``canonicalize`` on the same state: ``decide`` judges genericity
+on the pair scaled to a coefficient norm in [0.5, 1), ``canonicalize`` at
+the state's own scale.
+
 ``ladder`` counts the ``distinct`` verdicts among 20 epsilon-pairs per
 decade, epsilon = 1e-13 ... 1e-6, at ``decide``'s default rtol and at 0:
 a full-rank state rho against e^{i eps H} rho e^{-i eps H}, with H a random
@@ -58,9 +64,12 @@ def _line(key: str, value) -> None:
     print(f"{key}\t{value}", flush=True)
 
 
+def _state(m: np.ndarray) -> qorbit.DensityMatrix:
+    return qorbit.DensityMatrix(qorbit.SystemShape((2,) * int(math.log2(len(m)))), m)
+
+
 def _decide(m1: np.ndarray, m2: np.ndarray, **kwargs):
-    shape = qorbit.SystemShape((2,) * int(math.log2(len(m1))))
-    return qorbit.decide(qorbit.DensityMatrix(shape, m1), qorbit.DensityMatrix(shape, m2), **kwargs)
+    return qorbit.decide(_state(m1), _state(m2), **kwargs)
 
 
 def _witness(name: str) -> str:
@@ -68,7 +77,7 @@ def _witness(name: str) -> str:
 
 
 def routes() -> None:
-    counts, wrong, undecided = collections.Counter(), 0, 0
+    counts, wrong, undecided, reports, split = collections.Counter(), 0, 0, 0, 0
     for seed in (1, 2):
         mix = corpus.decide_mix(seed, 500)
         for item, m1, m2 in zip(mix["items"], mix["first"], mix["second"]):
@@ -77,10 +86,15 @@ def routes() -> None:
             counts[(kind, item["n"], v, _witness(verdict.witness.name))] += 1
             wrong += v == ("distinct" if kind in EQUIVALENT_KINDS else "equivalent")
             undecided += v == "inconclusive"
+            for m, report in zip((m1, m2), verdict.genericity or ()):
+                reports += 1
+                split += report.generic != qorbit.canonicalize(qorbit.expand(_state(m))).report.generic
     for (kind, n, v, witness), count in sorted(counts.items()):
         _line(f"route {kind} n={n} {v} {witness}", count)
     _line("route wrong", wrong)
     _line("route inconclusive", undecided)
+    _line("genericity reports", reports)
+    _line("genericity decide differs from canonicalize", split)
 
 
 def _epsilon_pair(rng, n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
